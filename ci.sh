@@ -161,19 +161,20 @@ else
 fi
 
 if [ "$quick" != "quick" ]; then
-    echo "==> bench smoke: tape-vs-tree + specialization microbenches"
+    echo "==> bench smoke: tape-vs-tree microbenches"
     cargo bench --bench substrate_micro -- substrate/tape_vs_tree
-    cargo bench --bench substrate_micro -- substrate/specialize/eval_box
 else
     echo "==> bench smoke: (skipped in quick mode)"
 fi
 
 # --- bench-regression -------------------------------------------------------
-# Re-measure the headline benches — the decrease query (region
-# specialization + derivative-guided cuts on), the pre-compiled
-# specialized+newton path, and the PR 5 warm-start family sweep — and fail
-# if any median regresses more than 25% against the BENCH_pr5.json record
-# (tolerance overridable via NNCPS_BENCH_TOLERANCE_PCT for noisy hosts).
+# Re-measure the headline decrease query (derivative-guided cuts on) and
+# fail if its median regresses more than 25% against the BENCH_pr5.json
+# record (tolerance overridable via NNCPS_BENCH_TOLERANCE_PCT for noisy
+# hosts).  The warm-start family sweep is gated as a ratio within this
+# run — warm_24 against cold_24, recorded at 1.91x; ten runs on a 2-vCPU
+# host read 1.90-2.39x — so host drift moves both lanes together instead of
+# tripping an absolute median.
 if [ "$quick" != "quick" ]; then
     echo "==> bench-regression: headline benches vs BENCH_pr5.json"
     # Absolute path: cargo runs bench binaries with the *package* directory
@@ -183,52 +184,13 @@ if [ "$quick" != "quick" ]; then
     CRITERION_JSON="$bench_json" \
         cargo bench --bench substrate_micro -- "substrate/deltasat/decrease_query/50"
     CRITERION_JSON="$bench_json" \
-        cargo bench --bench substrate_micro -- "substrate/specialize/decrease_query_50"
-    CRITERION_JSON="$bench_json" \
         cargo bench --bench substrate_micro -- "substrate/family_sweep"
     cargo run --release -p nncps_bench --bin bench-compare -- \
         "$bench_json" BENCH_pr5.json
     cargo run --release -p nncps_bench --bin bench-compare -- \
-        --bench "substrate/specialize/decrease_query_50/specialized_newton" \
-        "$bench_json" BENCH_pr5.json
-    cargo run --release -p nncps_bench --bin bench-compare -- \
-        --bench "substrate/family_sweep/warm_24" \
-        "$bench_json" BENCH_pr5.json
-
-    # PR 6: the batched SIMD evaluation layer.  The per-box speedup gate
-    # holds the 8-lane batched evaluator to >= 1.6x over the one-at-a-time
-    # interpreter *within this run* (recorded headline: 2.0-2.2x; the floor
-    # leaves headroom for host noise), and the median gates catch absolute
-    # regressions of the batched evaluator and the batched solver path
-    # against the BENCH_pr6.json record.
-    echo "==> bench-regression: batched evaluation vs BENCH_pr6.json"
-    CRITERION_JSON="$bench_json" \
-        cargo bench --bench substrate_micro -- "substrate/batched_eval/per_box/"
-    CRITERION_JSON="$bench_json" \
-        cargo bench --bench substrate_micro -- "substrate/batched_eval/decrease_query_50"
-    cargo run --release -p nncps_bench --bin bench-compare -- \
         "$bench_json" --speedup \
-        "substrate/batched_eval/per_box/scalar" \
-        "substrate/batched_eval/per_box/lanes8" --min 1.6
-    cargo run --release -p nncps_bench --bin bench-compare -- \
-        --bench "substrate/batched_eval/per_box/lanes4" \
-        "$bench_json" BENCH_pr6.json
-    cargo run --release -p nncps_bench --bin bench-compare -- \
-        --bench "substrate/batched_eval/decrease_query_50/batched" \
-        "$bench_json" BENCH_pr6.json
-
-    # PR 10: choice-trace-driven respecialization.  The delta step (recorded
-    # choice trace + single emit pass over the parent view) is held to >= 2x
-    # over the full three-pass rederivation it replaced, measured within this
-    # run on the deep ReLU ladder — the compiled-NN-controller workload the
-    # incremental path exists for.
-    echo "==> bench-regression: choice-trace respecialization speedup"
-    CRITERION_JSON="$bench_json" \
-        cargo bench --bench substrate_micro -- "substrate/choice_spec/deep_relu/"
-    cargo run --release -p nncps_bench --bin bench-compare -- \
-        "$bench_json" --speedup \
-        "substrate/choice_spec/deep_relu/rederive" \
-        "substrate/choice_spec/deep_relu/delta" --min 2
+        "substrate/family_sweep/cold_24" \
+        "substrate/family_sweep/warm_24" --min 1.6
 
     # PR 7: resource governance.  The budget-poll overhead on the headline
     # decrease query is held to <=2% (best-case sample times, governed vs

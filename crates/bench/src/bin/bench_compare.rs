@@ -4,8 +4,8 @@
 //! is set, looks the same benchmark up in a checked-in baseline record
 //! (`BENCH_pr4.json`; older `BENCH_pr2.json`-layout records still parse),
 //! and fails when the current median per-iteration time regresses beyond
-//! the tolerance.  `ci.sh` runs it twice: once for the default headline and
-//! once with `--bench substrate/specialize/decrease_query_50/specialized_newton`.
+//! the tolerance.  `ci.sh` runs it on the default headline (and, with
+//! `--bench` / `--baseline-bench`, on the governed lane of that headline).
 //!
 //! ```text
 //! CRITERION_JSON=target/bench_current.jsonl \
@@ -22,8 +22,8 @@
 //! A second mode gates a *speedup within one run* instead of a regression
 //! against a baseline: `bench-compare CURRENT.jsonl --speedup SLOW FAST
 //! [--min RATIO]` fails unless `median(SLOW) / median(FAST) ≥ RATIO`
-//! (default 2).  ci.sh uses it to hold the batched evaluator to its ≥2×
-//! per-box headline against the one-at-a-time interpreter.
+//! (default 2).  ci.sh uses it to hold the warm-start family sweep to its
+//! speedup over the cold sweep, both measured in the same run.
 //!
 //! A third mode gates an *overhead within one run*: `bench-compare
 //! CURRENT.jsonl --overhead BASE CANDIDATE [--max-pct PCT]` fails unless

@@ -78,14 +78,6 @@ pub struct VerificationConfig {
     /// machines with different core counts.  Set to `0` (or an explicit
     /// count) to trade that cross-machine reproducibility for speed.
     pub smt_threads: usize,
-    /// Batched sibling evaluation in the δ-SAT searches, passed to
-    /// [`DeltaSolver::with_batched_evaluation`](nncps_deltasat::DeltaSolver::with_batched_evaluation).
-    ///
-    /// Bit-invisible (identical verdicts, witnesses, and statistics either
-    /// way — and therefore identical certificates and report fingerprints);
-    /// on by default, off only for differential testing of the batched
-    /// evaluation layer.
-    pub smt_batched_evaluation: bool,
 }
 
 impl VerificationConfig {
@@ -226,9 +218,6 @@ impl VerificationConfigBuilder {
         /// Worker threads for the δ-SAT searches (bit-*visible*; see the
         /// field docs on [`VerificationConfig::smt_threads`]).
         smt_threads: usize,
-        /// Batched sibling evaluation in the δ-SAT searches
-        /// (bit-invisible).
-        smt_batched_evaluation: bool,
     }
 
     /// Validates and returns the configuration.
@@ -259,7 +248,6 @@ impl Default for VerificationConfig {
             synthesis: SynthesisOptions::default(),
             threads: 0,
             smt_threads: 1,
-            smt_batched_evaluation: true,
         }
     }
 }
@@ -475,7 +463,6 @@ impl Verifier {
         let solver = DeltaSolver::new(cfg.delta)
             .with_max_boxes(cfg.max_smt_boxes)
             .with_threads(cfg.smt_threads)
-            .with_batched_evaluation(cfg.smt_batched_evaluation)
             .with_budget(budget.clone());
         let queries = QueryBuilder::new(system, cfg.gamma);
         let mut synthesizer = CandidateSynthesizer::with_options(spec.clone(), cfg.synthesis);

@@ -20,9 +20,9 @@
 //! The outcome memo is keyed by [`VerificationRequest::fingerprint`], which
 //! covers every bit-relevant input of a run: the vector-field DAG, the full
 //! safety specification, every result-affecting configuration field, and
-//! the budget's deterministic fuel state.  Bit-*invisible* knobs —
-//! simulation worker threads, batched sibling evaluation — are deliberately
-//! excluded, so runs that provably produce identical bits share one entry.
+//! the budget's deterministic fuel state.  The one bit-*invisible* knob —
+//! simulation worker threads — is deliberately excluded, so runs that
+//! provably produce identical bits share one entry.
 //! Requests whose budget can trip non-deterministically (wall-clock
 //! deadline, cancellation, forced exhaustion) are never memoized, and
 //! outcomes that stopped for a non-deterministic reason are never stored.
@@ -188,9 +188,8 @@ impl<'a> VerificationRequest<'a> {
             }
             hasher.write_f64(halfspace.offset());
         }
-        // Bit-relevant configuration.  `threads` and
-        // `smt_batched_evaluation` are excluded: both are documented (and
-        // differentially tested) as bit-invisible.
+        // Bit-relevant configuration.  `threads` is excluded: it is
+        // documented (and differentially tested) as bit-invisible.
         let cfg = &self.config;
         hasher.write_usize(cfg.num_seed_traces);
         hasher.write_f64(cfg.sim_dt);
@@ -609,7 +608,6 @@ mod tests {
         let base = VerificationRequest::over(&system);
         let mut threads_differ = base.config().clone();
         threads_differ.threads = 7;
-        threads_differ.smt_batched_evaluation = false;
         assert_eq!(
             base.fingerprint(),
             VerificationRequest::over(&system)

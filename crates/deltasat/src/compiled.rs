@@ -15,11 +15,6 @@
 //!   recorded values — O(n) per revise instead of the O(n²) of re-evaluating
 //!   subtrees at every node.
 //!
-//! Both operations can also run over a region-specialized [`TapeView`]
-//! (see [`nncps_expr::specialize`]): the solver derives shortened views on
-//! descent, so the per-box cost shrinks as boxes shrink, and constraints
-//! proven satisfied on a region are dropped from the sweep entirely.
-//!
 //! On top of the value tape, a clause can lazily compile a **gradient
 //! bundle** — the partial derivatives of every constraint expression,
 //! produced by [`Expr::differentiate`] and lowered through the same CSE tape
@@ -33,9 +28,9 @@
 //!
 //! # Determinism
 //!
-//! Plain evaluation (with or without a specialized view) is bit-identical to
-//! the tree-walking reference: the same verdicts, the same narrowed domains,
-//! in the same visit order as [`hc4_revise`](crate::hc4_revise) /
+//! Plain evaluation is bit-identical to the tree-walking reference: the
+//! same verdicts, the same narrowed domains, in the same visit order as
+//! [`hc4_revise`](crate::hc4_revise) /
 //! [`contract_clause`](crate::contract_clause) and
 //! [`Constraint::feasibility`].  The solver exploits this to offer a
 //! differential-testing mode
@@ -47,10 +42,7 @@
 
 use std::sync::OnceLock;
 
-use nncps_expr::{
-    AllocatedTape, Choice, ChoiceAnalysis, Expr, SpecializeScratch, Tape, TapeInstr, TapeView,
-    DEFAULT_REGISTERS,
-};
+use nncps_expr::{Expr, Tape, TapeInstr};
 use nncps_interval::{Interval, IntervalBox};
 
 use crate::contractor::{invert_binary, invert_powi, invert_unary, total_width};
@@ -97,30 +89,17 @@ pub enum CutOutcome {
 /// reused allocation-free afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct ClauseScratch {
-    /// Forward interval value of every program slot (tape or view).
+    /// Forward interval value of every tape slot.
     slots: Vec<Interval>,
     /// How many leading `slots` are valid for the *current* region bits —
     /// the forward-sweep cache: revises and the final classification of one
     /// propagation pass share a single incrementally grown sweep, reset
     /// whenever any variable domain changes.
     valid: usize,
-    /// How many leading program slots have been *charged* to
-    /// `instructions_executed` for the current logical box.  Decoupled from
-    /// `valid` so a batch-prefilled sweep is charged exactly what the
-    /// scalar evaluation of the same box would have been charged — fuel
-    /// exhaustion points stay evaluator-invariant.
-    charged: usize,
-    /// Choice trace of the current forward sweep: per choice-site id of the
-    /// parent tape, the `min`/`max`/`abs` resolution last observed
-    /// (recorded at zero marginal cost by the recording sweeps; consumed by
-    /// [`CompiledClause::respecialize`]).
-    choices: Vec<Choice>,
     /// Backward work stack of `(slot, required)` pairs.
     stack: Vec<(usize, Interval)>,
     /// Per-atom verdict recorded by the last feasibility sweep.
     atom_status: Vec<Feasibility>,
-    /// Root-keep mask assembled for re-specialization.
-    keep_roots: Vec<bool>,
     /// Forward values of the gradient-bundle tape.
     grad_slots: Vec<Interval>,
     /// Forward values of the value tape at the box midpoint (Newton step).
@@ -131,33 +110,13 @@ pub struct ClauseScratch {
     point_box: IntervalBox,
     /// Instrumentation: tape instructions executed through this scratch.
     pub(crate) instructions_executed: usize,
-    /// Instrumentation: Σ of active program lengths over processed boxes.
+    /// Instrumentation: Σ of tape lengths over processed boxes.
     pub(crate) specialized_tape_len_sum: usize,
     /// Instrumentation: derivative-guided cuts applied.
     pub(crate) newton_cuts: usize,
 }
 
 impl ClauseScratch {
-    /// Installs a recorded forward sweep as the valid sweep cache (the
-    /// solver's batched sibling evaluation recorded `trace` over exactly
-    /// the region about to be propagated), returning the previous buffer
-    /// for recycling.  Pair with [`CompiledClause::propagate_prefilled`].
-    pub(crate) fn install_sweep(&mut self, trace: Vec<Interval>) -> Vec<Interval> {
-        self.valid = trace.len();
-        // The prefill is free only in *evaluation*: fuel charging restarts
-        // so the box pays the same scalar-equivalent instruction count it
-        // would have paid growing the sweep itself.
-        self.charged = 0;
-        std::mem::replace(&mut self.slots, trace)
-    }
-
-    /// Installs a recorded choice trace alongside a prefilled sweep (the
-    /// batched sibling evaluation recorded it for exactly this region),
-    /// returning the previous buffer for recycling.
-    pub(crate) fn install_choices(&mut self, choices: Vec<Choice>) -> Vec<Choice> {
-        std::mem::replace(&mut self.choices, choices)
-    }
-
     /// Moves the instrumentation counters out of the scratch (resetting
     /// them), so the solver can fold them into its statistics.
     pub(crate) fn take_counters(&mut self) -> (usize, usize, usize) {
@@ -173,73 +132,11 @@ impl ClauseScratch {
     }
 }
 
-/// The active evaluation program: the full tape or a specialized view of it.
-#[derive(Clone, Copy)]
-enum Prog<'a> {
-    Tape(&'a Tape),
-    View(&'a Tape, &'a TapeView),
-}
-
-impl Prog<'_> {
-    fn len(self) -> usize {
-        match self {
-            Prog::Tape(tape) => tape.num_slots(),
-            Prog::View(_, view) => view.len(),
-        }
-    }
-
-    fn instr(self, slot: usize) -> TapeInstr {
-        match self {
-            Prog::Tape(tape) => tape.instr(slot),
-            Prog::View(tape, view) => view.instr(tape, slot),
-        }
-    }
-
-    fn root_slot(self, k: usize) -> Option<usize> {
-        match self {
-            Prog::Tape(tape) => Some(tape.root_slot(k)),
-            Prog::View(_, view) => view.root_slot(k),
-        }
-    }
-
-    fn num_choices(self) -> usize {
-        match self {
-            Prog::Tape(tape) | Prog::View(tape, _) => tape.num_choices(),
-        }
-    }
-
-    fn extend(self, region: &IntervalBox, slots: &mut Vec<Interval>, count: usize) {
-        match self {
-            Prog::Tape(tape) => tape.eval_interval_extend_into(region, slots, count),
-            Prog::View(tape, view) => view.eval_interval_extend_into(tape, region, slots, count),
-        }
-    }
-
-    fn extend_recording(
-        self,
-        region: &IntervalBox,
-        slots: &mut Vec<Interval>,
-        count: usize,
-        choices: &mut [Choice],
-    ) {
-        match self {
-            Prog::Tape(tape) => {
-                tape.eval_interval_extend_into_recording(region, slots, count, choices)
-            }
-            Prog::View(tape, view) => {
-                view.eval_interval_extend_into_recording(tape, region, slots, count, choices)
-            }
-        }
-    }
-}
-
-/// The single definition of "this instruction cannot clip variable
-/// domains": only `sqrt` and `ln` have HC4 inversions that narrow their
-/// operand even when the requirement envelops the recorded value (they clip
-/// to the function's domain), so a slot is clip-free iff it is not one of
-/// those and all of its operands are.  Both the full-tape analysis at
-/// compile time and the per-view recomputation call this — keep the
-/// operator list in exactly one place.
+/// Whether a tape instruction cannot clip variable domains: only `sqrt`
+/// and `ln` have HC4 inversions that narrow their operand even when the
+/// requirement envelops the recorded value (they clip to the function's
+/// domain), so a slot is clip-free iff it is not one of those and all of its
+/// operands are.
 fn instr_clip_free(instr: TapeInstr, flags: &[bool]) -> bool {
     match instr {
         TapeInstr::Const(..) | TapeInstr::Var(_) => true,
@@ -307,10 +204,6 @@ impl GradientBundle {
 pub struct CompiledClause {
     tape: Tape,
     atoms: Vec<CompiledAtom>,
-    /// Whether the tape contains any `min`/`max`/`abs` instruction — the
-    /// only instructions region specialization can decide besides dropped
-    /// atoms, so choice-free clauses skip speculative re-specialization.
-    has_choices: bool,
     /// Per-slot flag: the slot's dependency cone contains no `sqrt`/`ln`.
     /// Those are the only operators whose HC4 inversion can clip variable
     /// domains even when the requirement envelops the recorded value, so a
@@ -321,15 +214,6 @@ pub struct CompiledClause {
     /// lowering happen on first use, or eagerly via
     /// [`CompiledClause::ensure_gradients`]).
     grad: OnceLock<GradientBundle>,
-    /// Lazily register-allocated form of the full tape (built on the first
-    /// batched sibling sweep; shared by every consumer of this clause,
-    /// including all family-sweep members holding the compiled formula
-    /// through the warm-start cache).
-    alloc: OnceLock<AllocatedTape>,
-    /// Lazily computed choice-group partition of the tape (one backward
-    /// pass; built on the first view respecialization and shared exactly
-    /// like `alloc`).
-    analysis: OnceLock<ChoiceAnalysis>,
 }
 
 impl CompiledClause {
@@ -346,7 +230,6 @@ impl CompiledClause {
                 source: c.clone(),
             })
             .collect();
-        let has_choices = tape.num_choices() > 0;
         let mut clip_free = Vec::with_capacity(tape.num_slots());
         for i in 0..tape.num_slots() {
             let flag = instr_clip_free(tape.instr(i), &clip_free);
@@ -355,11 +238,8 @@ impl CompiledClause {
         CompiledClause {
             tape,
             atoms,
-            has_choices,
             clip_free,
             grad: OnceLock::new(),
-            alloc: OnceLock::new(),
-            analysis: OnceLock::new(),
         }
     }
 
@@ -384,7 +264,6 @@ impl CompiledClause {
             slots: Vec::with_capacity(self.tape.num_slots()),
             stack: Vec::with_capacity(16),
             atom_status: Vec::with_capacity(self.atoms.len()),
-            keep_roots: Vec::with_capacity(self.atoms.len()),
             ..ClauseScratch::default()
         }
     }
@@ -404,23 +283,6 @@ impl CompiledClause {
     /// ```
     pub fn ensure_gradients(&self) {
         let _ = self.gradient_bundle();
-    }
-
-    /// The register-allocated form of the full tape, built once on first
-    /// use (the solver's batched sibling sweeps run depth-0 boxes through
-    /// it; specialized views get their own allocations in the solver's
-    /// view stack).
-    pub(crate) fn allocated_tape(&self) -> &AllocatedTape {
-        self.alloc
-            .get_or_init(|| AllocatedTape::from_tape(&self.tape, DEFAULT_REGISTERS))
-    }
-
-    /// The memoized choice-group partition of the tape (see
-    /// [`ChoiceAnalysis`]), built on first use — one backward pass per
-    /// clause, amortized over every respecialization of every view.
-    pub(crate) fn choice_analysis(&self) -> &ChoiceAnalysis {
-        self.analysis
-            .get_or_init(|| ChoiceAnalysis::analyze(&self.tape))
     }
 
     fn gradient_bundle(&self) -> &GradientBundle {
@@ -450,48 +312,24 @@ impl CompiledClause {
         region: &IntervalBox,
         scratch: &mut ClauseScratch,
     ) -> ClauseFeasibility {
-        self.feasibility_with_view(None, region, scratch)
-    }
-
-    /// [`CompiledClause::feasibility`] over a specialized view.
-    ///
-    /// Constraints whose root the view dropped were proven satisfied on an
-    /// enclosing region and are counted satisfied without evaluation; the
-    /// verdict is bit-identical to the full-tape sweep on every sub-box of
-    /// the view's region.
-    pub fn feasibility_with_view(
-        &self,
-        view: Option<&TapeView>,
-        region: &IntervalBox,
-        scratch: &mut ClauseScratch,
-    ) -> ClauseFeasibility {
         // Standalone entry point: the caller may have changed the region
         // since the last call, so the sweep cache starts cold.
         scratch.valid = 0;
-        scratch.charged = 0;
-        self.classify(self.program(view), region, scratch)
+        self.classify(region, scratch)
     }
 
-    /// Classification body shared by [`CompiledClause::feasibility_with_view`]
-    /// and [`CompiledClause::propagate`]; reuses whatever prefix of the
-    /// forward sweep is still valid for the current region bits.
-    fn classify(
-        &self,
-        prog: Prog<'_>,
-        region: &IntervalBox,
-        scratch: &mut ClauseScratch,
-    ) -> ClauseFeasibility {
-        Self::ensure_prefix(prog, region, scratch, prog.len());
+    /// Classification body shared by [`CompiledClause::feasibility`] and
+    /// [`CompiledClause::propagate`]; reuses whatever prefix of the forward
+    /// sweep is still valid for the current region bits.
+    fn classify(&self, region: &IntervalBox, scratch: &mut ClauseScratch) -> ClauseFeasibility {
+        self.ensure_prefix(region, scratch, self.tape.num_slots());
         scratch.atom_status.clear();
         scratch
             .atom_status
             .resize(self.atoms.len(), Feasibility::CertainlySatisfied);
         let mut all_satisfied = true;
         for (k, atom) in self.atoms.iter().enumerate() {
-            let Some(root) = prog.root_slot(k) else {
-                continue;
-            };
-            match atom.source.feasibility_of_value(scratch.slots[root]) {
+            match atom.source.feasibility_of_value(scratch.slots[atom.root]) {
                 Feasibility::CertainlySatisfied => {}
                 Feasibility::CertainlyViolated => return ClauseFeasibility::Violated,
                 Feasibility::Unknown => {
@@ -508,43 +346,21 @@ impl CompiledClause {
     }
 
     /// Grows the shared forward sweep to cover at least `count` slots of the
-    /// active program, evaluating only the missing suffix.  `scratch.valid`
-    /// tracks how much of the sweep matches the current region bits; callers
-    /// reset it to `0` whenever the region (or the program) may have
-    /// changed.  Reused values are bit-identical by construction — they were
-    /// computed on identical inputs.
-    fn ensure_prefix(
-        prog: Prog<'_>,
-        region: &IntervalBox,
-        scratch: &mut ClauseScratch,
-        count: usize,
-    ) {
+    /// tape, evaluating only the missing suffix.  `scratch.valid` tracks how
+    /// much of the sweep matches the current region bits; callers reset it
+    /// to `0` whenever the region may have changed.  Reused values are
+    /// bit-identical by construction — they were computed on identical
+    /// inputs.  Only freshly evaluated slots are charged to
+    /// `instructions_executed` (and therefore to fuel).
+    fn ensure_prefix(&self, region: &IntervalBox, scratch: &mut ClauseScratch, count: usize) {
         if count > scratch.valid {
             let mut slots = std::mem::take(&mut scratch.slots);
             slots.truncate(scratch.valid);
-            let num_choices = prog.num_choices();
-            if num_choices > 0 {
-                // Record the choice trace as the sweep grows: the recording
-                // twin is bit-identical and the trace feeds the delta-driven
-                // respecialization after classification.
-                if scratch.choices.len() != num_choices {
-                    scratch.choices.clear();
-                    scratch.choices.resize(num_choices, Choice::Both);
-                }
-                prog.extend_recording(region, &mut slots, count, &mut scratch.choices);
-            } else {
-                prog.extend(region, &mut slots, count);
-            }
+            self.tape
+                .eval_interval_extend_into(region, &mut slots, count);
             scratch.slots = slots;
+            scratch.instructions_executed += count - scratch.valid;
             scratch.valid = count;
-        }
-        // Fuel is charged against the *logical* sweep length, independent of
-        // whether the slots came from this call, a cached prefix, or a
-        // batch-recorded prefill — so exhaustion points are identical across
-        // evaluators.
-        if count > scratch.charged {
-            scratch.instructions_executed += count - scratch.charged;
-            scratch.charged = count;
         }
     }
 
@@ -560,28 +376,8 @@ impl CompiledClause {
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> bool {
-        self.contract_with_view(None, region, rounds, scratch)
-    }
-
-    /// [`CompiledClause::contract`] over a specialized view.
-    ///
-    /// Dropped constraints are skipped: their revise is a proven no-op on
-    /// every sub-box of the view's region (the recorded forward value of a
-    /// certainly-satisfied constraint already lies inside its admissible
-    /// interval, so every backward requirement envelops the recorded values
-    /// and no domain changes), keeping the narrowing bit-identical to the
-    /// full-tape contraction.
-    pub fn contract_with_view(
-        &self,
-        view: Option<&TapeView>,
-        region: &mut IntervalBox,
-        rounds: usize,
-        scratch: &mut ClauseScratch,
-    ) -> bool {
         scratch.valid = 0;
-        scratch.charged = 0;
-        let clip_free = view.is_none().then_some(self.clip_free.as_slice());
-        self.contract_inner(self.program(view), clip_free, region, rounds, scratch)
+        self.contract_inner(region, rounds, scratch)
     }
 
     /// One full propagation of the clause over a box: contraction to the
@@ -594,112 +390,37 @@ impl CompiledClause {
     /// Returns [`ClauseFeasibility::Violated`] both when classification
     /// certainly refutes the box and when contraction empties it; results
     /// (narrowed region, verdict, recorded per-atom statuses) are
-    /// bit-identical to [`CompiledClause::contract_with_view`] followed by
-    /// [`CompiledClause::feasibility_with_view`].
+    /// bit-identical to [`CompiledClause::contract`] followed by
+    /// [`CompiledClause::feasibility`].
     pub fn propagate(
         &self,
-        view: Option<&TapeView>,
         region: &mut IntervalBox,
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> ClauseFeasibility {
-        // Without caller-provided per-view flags, only the full tape can
-        // skip no-op subtrees (views renumber slots).
-        let clip_free = view.is_none().then_some(self.clip_free.as_slice());
-        self.propagate_flagged(view, clip_free, region, rounds, scratch)
-    }
-
-    /// [`CompiledClause::propagate`] with caller-provided clip-free flags
-    /// for the active program — the solver derives them once per view
-    /// ([`CompiledClause::view_clip_free`]) so specialized programs keep the
-    /// no-op subtree skipping of the full tape.
-    pub(crate) fn propagate_flagged(
-        &self,
-        view: Option<&TapeView>,
-        clip_free: Option<&[bool]>,
-        region: &mut IntervalBox,
-        rounds: usize,
-        scratch: &mut ClauseScratch,
-    ) -> ClauseFeasibility {
-        let prog = self.program(view);
         scratch.valid = 0;
-        scratch.charged = 0;
-        if !self.contract_inner(prog, clip_free, region, rounds, scratch) || region.is_empty() {
+        if !self.contract_inner(region, rounds, scratch) || region.is_empty() {
             return ClauseFeasibility::Violated;
         }
-        self.classify(prog, region, scratch)
-    }
-
-    /// [`CompiledClause::propagate_flagged`] *without* invalidating the
-    /// shared forward sweep: the caller has prefilled `scratch.slots` /
-    /// `scratch.valid` with a recorded sweep of the active program over
-    /// exactly this `region` (the solver's batched sibling evaluation).
-    ///
-    /// Because the recorded lanes are bitwise identical to the sweep
-    /// [`CompiledClause::propagate_flagged`] would have grown itself (the
-    /// batched evaluator's per-lane bit-identity), contraction and
-    /// classification take identical decisions and the result is
-    /// bit-identical to the unprefilled call — the cached prefix merely
-    /// skips recomputation, exactly like a fixpointed revise does.
-    pub(crate) fn propagate_prefilled(
-        &self,
-        view: Option<&TapeView>,
-        view_clip_free: Option<&[bool]>,
-        region: &mut IntervalBox,
-        rounds: usize,
-        scratch: &mut ClauseScratch,
-    ) -> ClauseFeasibility {
-        // Same flag resolution as `propagate`/`propagate_flagged`: views
-        // take the caller-derived flags, the full tape uses its own.
-        let clip_free = match view {
-            Some(_) => view_clip_free,
-            None => Some(self.clip_free.as_slice()),
-        };
-        let prog = self.program(view);
-        debug_assert!(scratch.valid <= prog.len());
-        if !self.contract_inner(prog, clip_free, region, rounds, scratch) || region.is_empty() {
-            return ClauseFeasibility::Violated;
-        }
-        self.classify(prog, region, scratch)
-    }
-
-    /// Recomputes the clip-free cone flags (no `sqrt`/`ln` below the slot;
-    /// see the field documentation) for a specialized view, into a reusable
-    /// buffer.
-    pub(crate) fn view_clip_free(&self, view: &TapeView, out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(view.len());
-        for i in 0..view.len() {
-            let flag = instr_clip_free(view.instr(&self.tape, i), out);
-            out.push(flag);
-        }
+        self.classify(region, scratch)
     }
 
     fn contract_inner(
         &self,
-        prog: Prog<'_>,
-        clip_free: Option<&[bool]>,
         region: &mut IntervalBox,
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> bool {
         for _ in 0..rounds {
             let before = total_width(region);
-            for (k, atom) in self.atoms.iter().enumerate() {
-                let Some(root) = prog.root_slot(k) else {
-                    continue;
-                };
+            for atom in &self.atoms {
                 // Roots are emitted in atom order, so the shared sweep only
                 // ever grows within a pass; after a fixpointed pass every
                 // revise runs on cached forward values.
-                Self::ensure_prefix(prog, region, scratch, root + 1);
-                match self.revise_backward(prog, root, atom.admissible, region, scratch, clip_free)
-                {
+                self.ensure_prefix(region, scratch, atom.root + 1);
+                match self.revise_backward(atom.root, atom.admissible, region, scratch) {
                     Revised::Infeasible => return false,
-                    Revised::Narrowed => {
-                        scratch.valid = 0;
-                        scratch.charged = 0;
-                    }
+                    Revised::Narrowed => scratch.valid = 0,
                     Revised::Unchanged => {}
                 }
             }
@@ -710,18 +431,6 @@ impl CompiledClause {
             }
         }
         true
-    }
-
-    fn program<'a>(&'a self, view: Option<&'a TapeView>) -> Prog<'a> {
-        match view {
-            Some(view) => Prog::View(&self.tape, view),
-            None => Prog::Tape(&self.tape),
-        }
-    }
-
-    /// The instruction count of the active program (full tape or view).
-    pub fn program_len(&self, view: Option<&TapeView>) -> usize {
-        self.program(view).len()
     }
 
     /// The backward half of one HC4-revise: a non-recursive walk from the
@@ -738,12 +447,10 @@ impl CompiledClause {
     /// always-assigning reference would.
     fn revise_backward(
         &self,
-        prog: Prog<'_>,
         root: usize,
         admissible: Interval,
         region: &mut IntervalBox,
         scratch: &mut ClauseScratch,
-        clip_free: Option<&[bool]>,
     ) -> Revised {
         let mut narrowed_any = false;
         scratch.stack.clear();
@@ -760,15 +467,13 @@ impl CompiledClause {
             // whole subtree walk is a proven no-op — skip it.  Fixpointed
             // contraction rounds collapse from full DAG walks to the thin
             // spine where requirements still cut.
-            if let Some(clip_free) = clip_free {
-                if clip_free[slot]
-                    && narrowed.lo().to_bits() == scratch.slots[slot].lo().to_bits()
-                    && narrowed.hi().to_bits() == scratch.slots[slot].hi().to_bits()
-                {
-                    continue;
-                }
+            if self.clip_free[slot]
+                && narrowed.lo().to_bits() == scratch.slots[slot].lo().to_bits()
+                && narrowed.hi().to_bits() == scratch.slots[slot].hi().to_bits()
+            {
+                continue;
             }
-            match prog.instr(slot) {
+            match self.tape.instr(slot) {
                 // Variable-free slots (literal or folded constants) carry no
                 // domains to narrow.
                 TapeInstr::Const(..) => {}
@@ -807,66 +512,6 @@ impl CompiledClause {
             Revised::Narrowed
         } else {
             Revised::Unchanged
-        }
-    }
-
-    /// Derives a further-specialized view for the current region, using the
-    /// forward values, choice trace, and per-atom verdicts recorded by the
-    /// last [`CompiledClause::feasibility_with_view`] sweep.
-    ///
-    /// Returns `true` (and fills `out`) when the derived view is worthwhile
-    /// — a choice was decided or an atom dropped; returns `false` without
-    /// touching `out`'s contents otherwise.  Descending from an existing
-    /// view consumes the recorded choice *delta*: an unchanged trace costs
-    /// `O(open choices + roots)` and exits without walking the program.
-    /// Choice-free clauses skip the scan entirely unless an atom became
-    /// droppable.
-    pub fn respecialize(
-        &self,
-        view: Option<&TapeView>,
-        scratch: &mut ClauseScratch,
-        spec_scratch: &mut SpecializeScratch,
-        out: &mut TapeView,
-    ) -> bool {
-        debug_assert_eq!(scratch.atom_status.len(), self.atoms.len());
-        let prog = self.program(view);
-        let mut newly_droppable = false;
-        scratch.keep_roots.clear();
-        for (k, &status) in scratch.atom_status.iter().enumerate() {
-            let keep = status == Feasibility::Unknown;
-            scratch.keep_roots.push(keep);
-            if !keep && prog.root_slot(k).is_some() {
-                newly_droppable = true;
-            }
-        }
-        if !newly_droppable && !self.has_choices {
-            return false;
-        }
-        match view {
-            // Delta-driven descent: `respecialize_into` reports whether the
-            // child differs (its delta check already accounts for droppable
-            // roots), so its verdict is the final word.
-            Some(view) => view.respecialize_into(
-                &self.tape,
-                self.choice_analysis(),
-                &scratch.slots,
-                &scratch.choices,
-                &scratch.keep_roots,
-                spec_scratch,
-                out,
-            ),
-            // Descent root: the full three-pass derivation always fills
-            // `out`; a dropped atom is worthwhile even when no instruction
-            // was pruned.
-            None => {
-                let shortened = self.tape.specialize_from_slots(
-                    &scratch.slots,
-                    &scratch.keep_roots,
-                    spec_scratch,
-                    out,
-                );
-                shortened || newly_droppable
-            }
         }
     }
 
@@ -1225,67 +870,38 @@ mod tests {
     }
 
     #[test]
-    fn view_evaluation_drops_satisfied_atoms_and_stays_bit_identical() {
-        // Two atoms: on the region the first is certainly satisfied, the
-        // second undecided.  The respecialized view must drop the first
-        // atom's exclusive cone and contract bit-identically to the full
-        // tape.
+    fn propagate_matches_contract_then_feasibility_bitwise() {
+        // The solver's fused pass must narrow to the same bits and reach the
+        // same verdict as the two standalone operations, on boxes that end
+        // up satisfied, violated, and undecided.
         let clause = vec![
-            Constraint::le(y().sin() * 0.25 - 10.0, 0.0), // always satisfied
+            Constraint::le(y().sin() * 0.25 - 10.0, 0.0),
             Constraint::ge(x().tanh() + y() * 0.5, 0.4),
+            Constraint::ge(x().abs().min(y().max(Expr::constant(0.5))), 0.25),
         ];
         let compiled = CompiledClause::compile(&clause);
-        let mut scratch = compiled.scratch();
-        let region = IntervalBox::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-
-        let mut spec_scratch = SpecializeScratch::default();
-        let mut view = TapeView::default();
-        assert!(compiled.respecialize(None, &mut scratch, &mut spec_scratch, &mut view));
-        assert!(view.root_slot(0).is_none(), "satisfied atom dropped");
-        assert!(view.root_slot(1).is_some());
-        assert!(view.len() < compiled.tape().num_slots());
-
-        for sub in [
-            IntervalBox::from_bounds(&[(-0.5, 0.5), (-0.25, 0.75)]),
-            IntervalBox::from_bounds(&[(0.0, 1.0), (-1.0, 0.0)]),
+        let mut fused = compiled.scratch();
+        let mut split = compiled.scratch();
+        for bounds in [
+            [(-1.0, 1.0), (-1.0, 1.0)],
+            [(0.5, 1.0), (0.5, 1.0)],
+            [(-1.0, -0.5), (-1.0, -0.9)],
         ] {
-            // Feasibility verdicts agree.
-            let mut view_scratch = compiled.scratch();
-            let full = compiled.feasibility(&sub, &mut scratch);
-            let short = compiled.feasibility_with_view(Some(&view), &sub, &mut view_scratch);
-            assert_eq!(full, short, "{sub}");
-            // Contraction narrows to identical bits.
-            let mut full_region = sub.clone();
-            let mut view_region = sub.clone();
-            let full_ok = compiled.contract(&mut full_region, 4, &mut scratch);
-            let view_ok =
-                compiled.contract_with_view(Some(&view), &mut view_region, 4, &mut view_scratch);
-            assert_eq!(full_ok, view_ok, "{sub}");
-            if full_ok {
-                assert_boxes_bit_equal(&full_region, &view_region);
+            let mut fused_region = IntervalBox::from_bounds(&bounds);
+            let mut split_region = fused_region.clone();
+            let verdict = compiled.propagate(&mut fused_region, 4, &mut fused);
+            let reference = if !compiled.contract(&mut split_region, 4, &mut split)
+                || split_region.is_empty()
+            {
+                ClauseFeasibility::Violated
+            } else {
+                compiled.feasibility(&split_region, &mut split)
+            };
+            assert_eq!(verdict, reference, "{bounds:?}");
+            if verdict != ClauseFeasibility::Violated {
+                assert_boxes_bit_equal(&fused_region, &split_region);
             }
         }
-    }
-
-    #[test]
-    fn choice_free_clause_skips_speculative_respecialization() {
-        let clause = vec![Constraint::ge(x().tanh() + y().powi(2), 0.25)];
-        let compiled = CompiledClause::compile(&clause);
-        assert!(!compiled.has_choices);
-        let mut scratch = compiled.scratch();
-        let region = IntervalBox::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-        let mut spec_scratch = SpecializeScratch::default();
-        let mut view = TapeView::default();
-        // Nothing droppable, no choices: the scan is skipped.
-        assert!(!compiled.respecialize(None, &mut scratch, &mut spec_scratch, &mut view));
     }
 
     #[test]

@@ -251,10 +251,7 @@ pub(crate) fn invert_binary(
             // Decided branches invert exactly: when the operand enclosures
             // cannot overlap, the minimum *is* the winning operand, so the
             // requirement passes through to it unchanged, while the losing
-            // operand keeps only the (vacuous) `>= out.lo` bound.  This is
-            // also what keeps region specialization bit-invisible: a
-            // decided `min` aliased away by `Tape::specialize` applies `out`
-            // to the surviving operand — exactly this rule.
+            // operand keeps only the (vacuous) `>= out.lo` bound.
             if a_val.hi() < b_val.lo() {
                 (out, Interval::new(out.lo(), f64::INFINITY))
             } else if b_val.hi() < a_val.lo() {

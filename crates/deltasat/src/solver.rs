@@ -2,10 +2,7 @@
 
 use std::fmt;
 
-use nncps_expr::{
-    AllocatedTape, BatchScratch, Choice, RegAlloc, SpecializeScratch, TapeView, DEFAULT_REGISTERS,
-};
-use nncps_interval::{Interval, IntervalBox};
+use nncps_interval::IntervalBox;
 use nncps_parallel::{Budget, ExhaustionReason};
 
 use crate::compiled::{
@@ -66,8 +63,8 @@ impl fmt::Display for SatResult {
 /// ([`SolverStats::instructions_executed`],
 /// [`SolverStats::specialized_tape_len_sum`], [`SolverStats::newton_cuts`])
 /// are evaluation-cost instrumentation: they depend on which evaluation
-/// backend ran (compiled tape, specialized views, tree reference) even when
-/// the search tree is bit-identical, so they are deliberately excluded from
+/// backend ran (compiled tape or tree reference) even when the search tree
+/// is bit-identical, so they are deliberately excluded from
 /// equality — and, downstream, from the scenario-report fingerprints.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverStats {
@@ -83,9 +80,10 @@ pub struct SolverStats {
     /// contraction, gradient and Newton evaluations).  `0` under the
     /// tree-walking reference evaluator.
     pub instructions_executed: usize,
-    /// Sum over processed boxes of the active program length (the full tape,
-    /// or the shortened view when region specialization applies), i.e. the
-    /// work-per-box integral that specialization shrinks.
+    /// Sum over processed boxes of the clause's compiled program length
+    /// (its full tape), i.e. the work-per-box integral of one forward sweep
+    /// per box.  `0` under the tree-walking reference evaluator.  The field
+    /// name is part of the stored-statistics and report layouts.
     pub specialized_tape_len_sum: usize,
     /// Number of derivative-guided cuts (monotonicity collapses and interval
     /// Newton narrowings) applied.
@@ -133,31 +131,26 @@ impl SolverStats {
 /// A δ-complete decision procedure for existential nonlinear queries,
 /// implemented with interval constraint propagation and branch & prune.
 ///
-/// Queries are compiled to flat evaluation tapes
-/// ([`CompiledClause`]) before the search starts, so the per-box loop —
-/// contraction, feasibility classification, bisection — runs allocation-free
-/// over dense instruction arrays.  Two further accelerations are on by
-/// default:
+/// Every DNF clause of a query is compiled to one flat, CSE-deduplicated
+/// evaluation tape ([`CompiledClause`]) before the search starts, and every
+/// box is processed on that tape: one shared forward sweep feeds both the
+/// HC4 contraction and the feasibility classification, and the per-box
+/// loop — contraction, classification, bisection — runs allocation-free
+/// over dense instruction arrays.
 ///
-/// * **Region specialization** ([`DeltaSolver::with_tape_specialization`]):
-///   on every split the solver derives a shortened
-///   [`TapeView`](nncps_expr::TapeView) for the child boxes — decided
-///   `min`/`max`/`abs` branches and constraints proven satisfied on the
-///   region are pruned, fidget-style, so work per box shrinks as boxes
-///   shrink.  Specialization is *bit-invisible*: verdicts, witnesses, and
-///   the explored box tree are identical to the full-tape search.
-/// * **Derivative-guided cuts** ([`DeltaSolver::with_newton_cuts`]):
-///   per box, gradient enclosures from a compiled derivative bundle drive a
-///   monotonicity cut (dimensions on which every undecided constraint is
-///   monotone collapse to the favorable face) and an interval-Newton step
-///   for equalities.  These cuts reduce the *number* of boxes and therefore
-///   change the search tree (and possibly which witness is found first);
-///   disable them for bit-identical comparisons against the reference.
+/// On top of the tape, **derivative-guided cuts**
+/// ([`DeltaSolver::with_newton_cuts`], on by default) use gradient
+/// enclosures from a compiled derivative bundle to drive a monotonicity cut
+/// (dimensions on which every undecided constraint is monotone collapse to
+/// the favorable face) and an interval-Newton step for equalities.  These
+/// cuts reduce the *number* of boxes and therefore change the search tree
+/// (and possibly which witness is found first); disable them for
+/// bit-identical comparisons against the reference.
 ///
 /// The tree-walking reference evaluator
-/// ([`DeltaSolver::with_tree_evaluator`]) runs with both accelerations off
-/// and explores exactly the same box tree as a compiled solver with Newton
-/// cuts disabled.
+/// ([`DeltaSolver::with_tree_evaluator`]) runs with the cuts off and
+/// explores exactly the same box tree as a compiled solver with Newton cuts
+/// disabled.
 ///
 /// See the [crate-level documentation](crate) for the semantics of the
 /// returned verdicts and a usage example.
@@ -168,9 +161,7 @@ pub struct DeltaSolver {
     contraction_rounds: usize,
     threads: usize,
     tree_eval: bool,
-    specialize: bool,
     newton: bool,
-    batched: bool,
     budget: Budget,
 }
 
@@ -192,26 +183,6 @@ enum ClauseEngine<'a> {
     Tree(&'a [Constraint]),
 }
 
-/// The per-depth specialization stack of one clause search: `views[d]` is
-/// the program for subtrees at depth `d + 1` of the *current* depth-first
-/// path (depth 0 boxes run on the full tape).  Popped views return to the
-/// pool, so the steady-state loop reuses their storage allocation-free.
-#[derive(Default)]
-struct SpecState {
-    views: Vec<TapeView>,
-    /// Clip-free cone flags of each view (parallel to `views`), so derived
-    /// programs keep the no-op backward-subtree skipping of the full tape.
-    flags: Vec<Vec<bool>>,
-    /// Register-allocated form of each view (parallel to `views`), feeding
-    /// the batched sibling sweeps; empty when batching is off.
-    allocs: Vec<AllocatedTape>,
-    pool: Vec<TapeView>,
-    flag_pool: Vec<Vec<bool>>,
-    alloc_pool: Vec<AllocatedTape>,
-    ralloc: RegAlloc,
-    scratch: SpecializeScratch,
-}
-
 impl ClauseEngine<'_> {
     fn atom_count(&self) -> usize {
         match self {
@@ -227,13 +198,9 @@ impl ClauseEngine<'_> {
         }
     }
 
-    fn supports_specialization(&self) -> bool {
-        matches!(self, ClauseEngine::Compiled(_))
-    }
-
-    fn program_len(&self, view: Option<(&TapeView, &[bool])>) -> usize {
+    fn program_len(&self) -> usize {
         match self {
-            ClauseEngine::Compiled(clause) => clause.program_len(view.map(|(v, _)| v)),
+            ClauseEngine::Compiled(clause) => clause.tape().num_slots(),
             ClauseEngine::Tree(_) => 0,
         }
     }
@@ -244,18 +211,12 @@ impl ClauseEngine<'_> {
     /// separately — the verdicts and the narrowed region are bit-identical.
     fn propagate(
         &self,
-        view: Option<(&TapeView, &[bool])>,
         region: &mut IntervalBox,
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> ClauseFeasibility {
         match self {
-            ClauseEngine::Compiled(clause) => match view {
-                Some((view, clip_free)) => {
-                    clause.propagate_flagged(Some(view), Some(clip_free), region, rounds, scratch)
-                }
-                None => clause.propagate(None, region, rounds, scratch),
-            },
+            ClauseEngine::Compiled(clause) => clause.propagate(region, rounds, scratch),
             ClauseEngine::Tree(clause) => {
                 if !contract_clause(clause, region, rounds) || region.is_empty() {
                     return ClauseFeasibility::Violated;
@@ -277,53 +238,10 @@ impl ClauseEngine<'_> {
         }
     }
 
-    /// [`ClauseEngine::propagate`], but reusing the sweep prefix already
-    /// installed in the scratch (by [`ClauseScratch::install_sweep`]) instead
-    /// of starting the forward sweep from scratch.  Only meaningful for the
-    /// compiled engine — the solver records those prefixes with the batched
-    /// evaluator, which is only wired up for compiled clauses; the tree arm
-    /// falls back to a regular propagation.
-    fn propagate_prefilled(
-        &self,
-        view: Option<(&TapeView, &[bool])>,
-        region: &mut IntervalBox,
-        rounds: usize,
-        scratch: &mut ClauseScratch,
-    ) -> ClauseFeasibility {
-        match self {
-            ClauseEngine::Compiled(clause) => match view {
-                Some((view, clip_free)) => {
-                    clause.propagate_prefilled(Some(view), Some(clip_free), region, rounds, scratch)
-                }
-                None => clause.propagate_prefilled(None, None, region, rounds, scratch),
-            },
-            ClauseEngine::Tree(_) => self.propagate(view, region, rounds, scratch),
-        }
-    }
-
     fn derivative_cuts(&self, region: &mut IntervalBox, scratch: &mut ClauseScratch) -> CutOutcome {
         match self {
             ClauseEngine::Compiled(clause) => clause.derivative_cuts(region, scratch),
             ClauseEngine::Tree(_) => CutOutcome::Unchanged,
-        }
-    }
-
-    fn respecialize(
-        &self,
-        view: Option<&TapeView>,
-        scratch: &mut ClauseScratch,
-        spec_scratch: &mut SpecializeScratch,
-        out: &mut TapeView,
-    ) -> bool {
-        match self {
-            ClauseEngine::Compiled(clause) => clause.respecialize(view, scratch, spec_scratch, out),
-            ClauseEngine::Tree(_) => false,
-        }
-    }
-
-    fn view_clip_free(&self, view: &TapeView, out: &mut Vec<bool>) {
-        if let ClauseEngine::Compiled(clause) = self {
-            clause.view_clip_free(view, out);
         }
     }
 }
@@ -335,22 +253,12 @@ impl DeltaSolver {
     /// Default number of HC4 sweeps applied to each box.
     pub const DEFAULT_CONTRACTION_ROUNDS: usize = 4;
 
-    /// Maximum depth of the per-path specialization stack; deeper boxes keep
-    /// reusing the deepest derived view (bounding memory without affecting
-    /// results — re-specialization is monotone).
-    const MAX_SPECIALIZE_DEPTH: usize = 64;
-
     /// Maximum number of narrowing derivative cuts applied per box, each
     /// followed by a full contract + classify pass: a monotonicity collapse
     /// pins at least one dimension, so a handful of cuts already reaches
     /// the fixpoint that matters, and the final verdict is always taken on
     /// a freshly classified region.
     const MAX_CUT_PASSES: usize = 3;
-
-    /// Lane count of the batched sibling sweeps: a bisection produces
-    /// exactly two children, and both run through one two-lane sweep of the
-    /// child program's register-allocated tape at split time.
-    const SIBLING_LANES: usize = 2;
 
     /// Derivative-guided cuts are attempted once a box's width is within
     /// this factor of the precision `δ` (about ten bisections per dimension
@@ -374,9 +282,7 @@ impl DeltaSolver {
             contraction_rounds: Self::DEFAULT_CONTRACTION_ROUNDS,
             threads: 1,
             tree_eval: false,
-            specialize: true,
             newton: true,
-            batched: true,
             budget: Budget::unlimited(),
         }
     }
@@ -396,10 +302,10 @@ impl DeltaSolver {
     /// charged from the tape instructions executed per box, and an
     /// exhausted limit (or a raised cancellation flag) returns
     /// [`SatResult::Unknown`] with the structured [`ExhaustionReason`].
-    /// Fuel is counted per *logical* box in scalar-equivalent instructions
-    /// — sweeps prerecorded by batched sibling evaluation are charged when
-    /// their box is processed, not when they are recorded — so exhaustion
-    /// points are identical with batching on or off.
+    /// Fuel counts exactly the tape instructions the search evaluates (the
+    /// same number as [`SolverStats::instructions_executed`]), so the
+    /// exhaustion point is a pure function of the query and the
+    /// configuration.
     ///
     /// A **fuel limit forces the sequential search path** regardless of
     /// [`DeltaSolver::with_threads`]: fuel is a pure function of the
@@ -441,10 +347,8 @@ impl DeltaSolver {
     /// solver; δ-SAT witnesses may come from a different (but equally
     /// valid) region, after exploring at most ~`threads ×` the sequential
     /// box count, so give `with_max_boxes` the same headroom when enabling
-    /// threads.  The parallel search keeps derivative-guided cuts but runs
-    /// every subtree on the full tape (the per-depth specialization stack is
-    /// a property of the sequential depth-first path).  Without the
-    /// `parallel` feature the search always runs sequentially.
+    /// threads.  The parallel search keeps derivative-guided cuts.  Without
+    /// the `parallel` feature the search always runs sequentially.
     ///
     /// # Examples
     ///
@@ -467,15 +371,14 @@ impl DeltaSolver {
 
     /// Switches the solver to the recursive tree-walking evaluators
     /// ([`crate::hc4_revise`] / [`Constraint::feasibility`]) instead of
-    /// compiled tapes, with region specialization and derivative-guided
-    /// cuts disabled.
+    /// compiled tapes, with derivative-guided cuts disabled.
     ///
     /// This is the slow reference path: it produces bit-identical verdicts,
     /// witnesses, and box statistics to a compiled solver with
-    /// [`DeltaSolver::with_newton_cuts`] turned off (region specialization
-    /// never affects results), and exists for differential testing and
-    /// benchmarking of the compiled evaluation layer.  Queries handed to
-    /// [`DeltaSolver::solve_compiled`] always run compiled.
+    /// [`DeltaSolver::with_newton_cuts`] turned off, and exists for
+    /// differential testing and benchmarking of the compiled evaluation
+    /// layer.  Queries handed to [`DeltaSolver::solve_compiled`] always run
+    /// compiled.
     ///
     /// # Examples
     ///
@@ -499,24 +402,7 @@ impl DeltaSolver {
     /// ```
     pub fn with_tree_evaluator(mut self) -> Self {
         self.tree_eval = true;
-        self.specialize = false;
         self.newton = false;
-        self.batched = false;
-        self
-    }
-
-    /// Enables or disables region specialization (default: enabled).
-    ///
-    /// When enabled, every split derives a shortened
-    /// [`TapeView`](nncps_expr::TapeView) for the child boxes from the
-    /// parent's program — decided `min`/`max`/`abs` branches and constraints
-    /// proven satisfied on the region are dropped, so the per-box
-    /// evaluation cost falls as the search descends.  Specialization is
-    /// bit-invisible: verdicts, witnesses, and search statistics are
-    /// identical with it on or off; the only observable difference is speed
-    /// (and [`SolverStats::specialized_tape_len_sum`]).
-    pub fn with_tape_specialization(mut self, enabled: bool) -> Self {
-        self.specialize = enabled;
         self
     }
 
@@ -555,42 +441,6 @@ impl DeltaSolver {
         self
     }
 
-    /// Enables or disables batched sibling evaluation (default: enabled).
-    ///
-    /// When enabled, the sequential search evaluates both children of every
-    /// bisection through one multi-lane sweep of a register-allocated tape
-    /// ([`AllocatedTape`](nncps_expr::AllocatedTape)): each instruction is
-    /// decoded once and applied to both child boxes, and the recorded
-    /// per-lane traces seed the children's contraction sweeps when they are
-    /// popped.  Batching is *bit-invisible*: every lane performs exactly the
-    /// operations of the scalar interpreter in the same order, so verdicts,
-    /// witnesses, and search statistics are identical with it on or off —
-    /// the only observable difference is speed (and
-    /// [`SolverStats::instructions_executed`], which is evaluation-cost
-    /// instrumentation).  It applies to compiled clauses in the sequential
-    /// search; the tree reference and the multi-threaded search ignore it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nncps_deltasat::{Constraint, DeltaSolver, Formula};
-    /// use nncps_expr::Expr;
-    /// use nncps_interval::IntervalBox;
-    ///
-    /// let query = Formula::atom(Constraint::eq(Expr::var(0).powi(2), 2.0));
-    /// let domain = IntervalBox::from_bounds(&[(0.0, 2.0)]);
-    /// let (on, stats_on) = DeltaSolver::new(1e-6).solve_with_stats(&query, &domain);
-    /// let (off, stats_off) = DeltaSolver::new(1e-6)
-    ///     .with_batched_evaluation(false)
-    ///     .solve_with_stats(&query, &domain);
-    /// assert_eq!(on.witness(), off.witness());
-    /// assert_eq!(stats_on, stats_off);
-    /// ```
-    pub fn with_batched_evaluation(mut self, enabled: bool) -> Self {
-        self.batched = enabled;
-        self
-    }
-
     /// The configured precision `δ`.
     pub fn precision(&self) -> f64 {
         self.precision
@@ -601,19 +451,9 @@ impl DeltaSolver {
         self.threads
     }
 
-    /// Whether region specialization is enabled.
-    pub fn tape_specialization(&self) -> bool {
-        self.specialize
-    }
-
     /// Whether derivative-guided cuts are enabled.
     pub fn newton_cuts(&self) -> bool {
         self.newton
-    }
-
-    /// Whether batched sibling evaluation is enabled.
-    pub fn batched_evaluation(&self) -> bool {
-        self.batched
     }
 
     /// Decides `∃ x ∈ domain : formula(x)`.
@@ -724,14 +564,14 @@ impl DeltaSolver {
             nncps_parallel::effective_threads(self.threads)
         };
         if threads > 1 {
-            self.solve_clause_batched(engine, domain, stats, threads)
+            self.solve_clause_parallel(engine, domain, stats, threads)
         } else {
             self.solve_clause_sequential(engine, domain, stats)
         }
     }
 
     /// Contracts and classifies one box **in place**: the body of the
-    /// branch-and-prune loop, shared by the sequential and batched searches.
+    /// branch-and-prune loop, shared by the sequential and parallel searches.
     ///
     /// With derivative-guided cuts enabled, a cut that narrows the box loops
     /// back through contraction and classification so the cheaper tests get
@@ -742,27 +582,17 @@ impl DeltaSolver {
         engine: &ClauseEngine<'_>,
         scratch: &mut ClauseScratch,
         region: &mut IntervalBox,
-        view: Option<(&TapeView, &[bool])>,
-        mut prefilled: bool,
     ) -> BoxOutcome {
-        scratch.specialized_tape_len_sum += engine.program_len(view);
+        scratch.specialized_tape_len_sum += engine.program_len();
         let mut cut_passes = 0;
         loop {
             // Contract and classify the box over one shared forward sweep
-            // (per-atom verdicts are recorded for the cut and
-            // re-specialization steps).  Every exit from this loop — and in
-            // particular the δ-termination below — happens on a region that
-            // was classified as it stands: a narrowing cut always loops back
-            // through propagation, never straight to a verdict.  When the box
-            // arrives with a prefilled sweep (recorded by the batched sibling
-            // evaluation at split time), the first pass reuses it; later
-            // passes run on a cut-narrowed region and sweep normally.
-            let feasibility = if std::mem::take(&mut prefilled) {
-                engine.propagate_prefilled(view, region, self.contraction_rounds, scratch)
-            } else {
-                engine.propagate(view, region, self.contraction_rounds, scratch)
-            };
-            match feasibility {
+            // (per-atom verdicts are recorded for the cut step).  Every exit
+            // from this loop — and in particular the δ-termination below —
+            // happens on a region that was classified as it stands: a
+            // narrowing cut always loops back through propagation, never
+            // straight to a verdict.
+            match engine.propagate(region, self.contraction_rounds, scratch) {
                 ClauseFeasibility::Violated => return BoxOutcome::Pruned,
                 ClauseFeasibility::Satisfied => return BoxOutcome::Sat,
                 ClauseFeasibility::Undecided => {}
@@ -800,17 +630,8 @@ impl DeltaSolver {
         stats: &mut SolverStats,
     ) -> SatResult {
         let mut scratch = engine.scratch();
-        let mut spec: Option<SpecState> =
-            (self.specialize && engine.supports_specialization()).then(SpecState::default);
         let mut fuel_charged = 0;
-        let result = self.run_sequential(
-            engine,
-            domain,
-            stats,
-            &mut scratch,
-            &mut spec,
-            &mut fuel_charged,
-        );
+        let result = self.run_sequential(engine, domain, stats, &mut scratch, &mut fuel_charged);
         // Charge the tail executed since the last loop-head poll, so the
         // governing budget's fuel count stays exact across the many queries
         // of a verification run.
@@ -823,48 +644,23 @@ impl DeltaSolver {
         result
     }
 
-    /// The sequential depth-first search, with the per-depth specialization
-    /// stack mirroring the current path: stack entries carry the number of
-    /// derived views that apply to them; popping an entry truncates the view
-    /// stack back to that depth (recycling deeper views through the pool),
-    /// and a split may push one further-specialized view for both children.
-    ///
-    /// With batched evaluation on (compiled clauses only), every split runs
-    /// both children through one [`Self::SIBLING_LANES`]-lane recording
-    /// sweep of the child program's register-allocated tape, and the stack
-    /// entries carry the recorded traces: when a child is popped, its trace
-    /// seeds the contraction sweep instead of re-running the forward pass.
-    /// The trace stays valid while the entry waits on the stack because
-    /// the box is immutable there and the view at its depth is untouched
-    /// until the entry is popped (the depth-first path invariant that also
-    /// protects `views`).  When the clause has `min`/`max`/`abs` choice
-    /// sites, the same batched sweep also records each lane's choice trace,
-    /// which rides along with the interval trace and feeds the delta-driven
-    /// re-specialization when the child splits.
+    /// The sequential depth-first search: pop a box, process it in place,
+    /// and either retire it or push both halves of its bisection.
     fn run_sequential(
         &self,
         engine: &ClauseEngine<'_>,
         domain: &IntervalBox,
         stats: &mut SolverStats,
         scratch: &mut ClauseScratch,
-        spec: &mut Option<SpecState>,
         fuel_charged: &mut usize,
     ) -> SatResult {
-        let batching = self.batched && matches!(engine, ClauseEngine::Compiled(_));
-        // One DFS entry: the box, its depth, and — when the sibling batch
-        // prerecorded them — its forward sweep and choice traces.
-        type StackEntry = (IntervalBox, u32, Option<Vec<Interval>>, Option<Vec<Choice>>);
-        let mut stack: Vec<StackEntry> = vec![(domain.clone(), 0, None, None)];
+        let mut stack: Vec<IntervalBox> = vec![domain.clone()];
         // Pruned boxes are recycled as the upper halves of later splits, so
         // the steady-state loop allocates nothing: popping moves a box out
         // of the stack, contraction narrows it in place, and
-        // `split_widest_into` reuses pooled storage.  Sweep traces and
-        // choice traces recycle through their own pools the same way.
+        // `split_widest_into` reuses pooled storage.
         let mut pool: Vec<IntervalBox> = Vec::new();
-        let mut trace_pool: Vec<Vec<Interval>> = Vec::new();
-        let mut choice_pool: Vec<Vec<Choice>> = Vec::new();
-        let mut batch_scratch: BatchScratch<{ Self::SIBLING_LANES }> = BatchScratch::new();
-        while let Some((mut region, depth, trace, choices)) = stack.pop() {
+        while let Some(mut region) = stack.pop() {
             nncps_fault::panic_point(nncps_fault::SITE_SOLVER_BOX_POP);
             if nncps_fault::fuel_exhaustion(nncps_fault::SITE_SOLVER_BOX_POP) {
                 self.budget.exhaust_fuel();
@@ -883,38 +679,7 @@ impl DeltaSolver {
                 return SatResult::Unknown(ExhaustionReason::Boxes(self.max_boxes));
             }
             stats.boxes_explored += 1;
-            // Trim the view stack to this box's depth-first path.
-            if let Some(state) = spec.as_mut() {
-                while state.views.len() > depth as usize {
-                    let recycled = state.views.pop().expect("length checked");
-                    state.pool.push(recycled);
-                    let recycled_flags = state.flags.pop().expect("parallel stacks");
-                    state.flag_pool.push(recycled_flags);
-                    if let Some(recycled_alloc) = state.allocs.pop() {
-                        state.alloc_pool.push(recycled_alloc);
-                    }
-                }
-            }
-            let prefilled = match trace {
-                Some(recorded) => {
-                    trace_pool.push(scratch.install_sweep(recorded));
-                    if let Some(recorded_choices) = choices {
-                        choice_pool.push(scratch.install_choices(recorded_choices));
-                    }
-                    true
-                }
-                None => false,
-            };
-            let outcome = {
-                let view = spec.as_ref().filter(|_| depth > 0).map(|state| {
-                    (
-                        &state.views[depth as usize - 1],
-                        state.flags[depth as usize - 1].as_slice(),
-                    )
-                });
-                self.process_box(engine, scratch, &mut region, view, prefilled)
-            };
-            match outcome {
+            match self.process_box(engine, scratch, &mut region) {
                 BoxOutcome::Pruned => {
                     stats.boxes_pruned += 1;
                     pool.push(region);
@@ -922,99 +687,13 @@ impl DeltaSolver {
                 BoxOutcome::Sat => return SatResult::DeltaSat(region),
                 BoxOutcome::Split => {
                     stats.bisections += 1;
-                    // Derive a further-specialized program for the children
-                    // from the forward values of the last classification
-                    // sweep; worthless derivations cost one linear scan and
-                    // leave the children on the parent's program.
-                    let child_depth = match spec.as_mut() {
-                        Some(state) if (depth as usize) < Self::MAX_SPECIALIZE_DEPTH => {
-                            let SpecState {
-                                views,
-                                flags,
-                                allocs,
-                                pool: view_pool,
-                                flag_pool,
-                                alloc_pool,
-                                ralloc,
-                                scratch: spec_scratch,
-                            } = state;
-                            let parent = (depth > 0).then(|| &views[depth as usize - 1]);
-                            let mut derived = view_pool.pop().unwrap_or_default();
-                            if engine.respecialize(parent, scratch, spec_scratch, &mut derived) {
-                                let mut derived_flags = flag_pool.pop().unwrap_or_default();
-                                engine.view_clip_free(&derived, &mut derived_flags);
-                                if batching {
-                                    // Register-allocate the derived view once;
-                                    // every split below this depth batches
-                                    // through it.
-                                    let mut derived_alloc = alloc_pool.pop().unwrap_or_default();
-                                    ralloc.allocate_view_into(
-                                        &derived,
-                                        DEFAULT_REGISTERS,
-                                        &mut derived_alloc,
-                                    );
-                                    allocs.push(derived_alloc);
-                                }
-                                views.push(derived);
-                                flags.push(derived_flags);
-                                views.len() as u32
-                            } else {
-                                view_pool.push(derived);
-                                depth
-                            }
-                        }
-                        _ => depth,
-                    };
                     let mut right = pool.pop().unwrap_or_default();
                     region.split_widest_into(&mut right);
-                    let (left_trace, right_trace, left_choices, right_choices) =
-                        if let (true, ClauseEngine::Compiled(clause)) = (batching, engine) {
-                            // One two-lane sweep of the child program covers
-                            // both children; each lane's recorded slots are
-                            // bitwise what the child's own forward sweep would
-                            // compute.  The sweep is not charged as fuel here:
-                            // `ensure_prefix`'s charged watermark bills each
-                            // child lazily when it is popped and classified,
-                            // so fuel exhaustion points are identical with
-                            // batching on or off (a never-popped child is
-                            // charged in neither mode).
-                            let alloc = if child_depth == 0 {
-                                clause.allocated_tape()
-                            } else {
-                                let state = spec.as_ref().expect("child_depth > 0 implies views");
-                                &state.allocs[child_depth as usize - 1]
-                            };
-                            let mut left = trace_pool.pop().unwrap_or_default();
-                            let mut right_rec = trace_pool.pop().unwrap_or_default();
-                            if clause.tape().num_choices() > 0 {
-                                let mut left_ch = choice_pool.pop().unwrap_or_default();
-                                let mut right_ch = choice_pool.pop().unwrap_or_default();
-                                alloc.eval_interval_batch_recording(
-                                    clause.tape(),
-                                    &[&region, &right],
-                                    &mut batch_scratch,
-                                    &mut [&mut left, &mut right_rec],
-                                    &mut [&mut left_ch, &mut right_ch],
-                                );
-                                (Some(left), Some(right_rec), Some(left_ch), Some(right_ch))
-                            } else {
-                                alloc.eval_interval_batch_recording(
-                                    clause.tape(),
-                                    &[&region, &right],
-                                    &mut batch_scratch,
-                                    &mut [&mut left, &mut right_rec],
-                                    &mut [],
-                                );
-                                (Some(left), Some(right_rec), None, None)
-                            }
-                        } else {
-                            (None, None, None, None)
-                        };
                     // Depth-first exploration; pushing the halves in this
                     // order keeps the search biased toward the lower corner,
                     // which is as good as any deterministic choice.
-                    stack.push((right, child_depth, right_trace, right_choices));
-                    stack.push((region, child_depth, left_trace, left_choices));
+                    stack.push(right);
+                    stack.push(region);
                 }
             }
         }
@@ -1054,7 +733,7 @@ impl DeltaSolver {
     /// The first round starts from a single root, so shallow searches run
     /// inline ([`nncps_parallel::parallel_map_owned`] spawns no threads for
     /// a single item) and never pay for parallelism.
-    fn solve_clause_batched(
+    fn solve_clause_parallel(
         &self,
         engine: &ClauseEngine<'_>,
         domain: &IntervalBox,
@@ -1130,9 +809,7 @@ impl DeltaSolver {
     ///
     /// Each call owns its scratch buffers and box pool, so workers never
     /// contend; within the (up to `cap`-box) subtree walk the loop is
-    /// allocation-free just like the sequential search.  Subtrees run on the
-    /// full tape: the per-depth specialization stack belongs to the
-    /// sequential path (derivative-guided cuts still apply).
+    /// allocation-free just like the sequential search.
     fn explore_subtree(
         &self,
         engine: &ClauseEngine<'_>,
@@ -1153,7 +830,7 @@ impl DeltaSolver {
                 break;
             }
             result.explored += 1;
-            match self.process_box(engine, &mut scratch, &mut region, None, false) {
+            match self.process_box(engine, &mut scratch, &mut region) {
                 BoxOutcome::Pruned => {
                     result.pruned += 1;
                     pool.push(region);
@@ -1196,7 +873,7 @@ struct SubtreeResult {
     bisections: usize,
     /// Tape instructions executed by the worker.
     instructions_executed: usize,
-    /// Active-program-length sum over the worker's boxes.
+    /// Tape-length sum over the worker's boxes.
     specialized_tape_len_sum: usize,
     /// Derivative-guided cuts applied by the worker.
     newton_cuts: usize,
@@ -1337,11 +1014,46 @@ mod tests {
         assert!((w[0] - w[1]).abs() < 1e-2);
     }
 
-    /// The queries the equivalence tests sweep: a mix of SAT, UNSAT, and
-    /// deep-search shapes over the operators the pipeline uses.
-    fn differential_queries() -> Vec<(Formula, IntervalBox)> {
+    /// A query with `min`/`max`/`abs` choice sites.
+    fn choosy_query() -> (Formula, IntervalBox) {
+        let w = (x() * 3.0)
+            .sin()
+            .abs()
+            .max((y() * 2.0).cos())
+            .min(x() + y());
+        (Formula::atom(Constraint::eq(w, 0.25)), square_domain(3.0))
+    }
+
+    /// A 24-layer ReLU ladder — the shape of a compiled NN controller.
+    /// Unit-scale weights keep the signal alive through all layers, so the
+    /// search has to descend (and decide ReLUs) to reach a verdict.
+    fn deep_relu_ladder() -> Expr {
+        let mut out = x() * 0.9 + y() * 0.1;
+        for i in 0..24 {
+            let w = 1.0 + 0.01 * (i % 5) as f64;
+            let b = 0.01 * (i % 3) as f64;
+            out = (out * w + b).max(Expr::constant(0.0)) - 0.01;
+        }
+        out
+    }
+
+    /// The queries the equivalence tests sweep, each with the solver it
+    /// runs under: a mix of SAT, UNSAT, and deep-search shapes over the
+    /// operators the pipeline uses, `min`/`max`/`abs`-heavy controller
+    /// shapes, and a box-budget exhaustion.
+    fn differential_queries() -> Vec<(DeltaSolver, Formula, IntervalBox)> {
+        let solver = DeltaSolver::new(1e-4);
+        let (choosy, choosy_domain) = choosy_query();
+        let grad_dot_f = (x() * -2.0) * x() + (y() * -2.0) * y();
+        let outside_x0 = Formula::or(vec![
+            Formula::atom(Constraint::le(x(), -0.5)),
+            Formula::atom(Constraint::ge(x(), 0.5)),
+            Formula::atom(Constraint::le(y(), -0.5)),
+            Formula::atom(Constraint::ge(y(), 0.5)),
+        ]);
         vec![
             (
+                solver.clone(),
                 Formula::all_of([
                     Constraint::le(x().powi(2) + y().powi(2), 1.0),
                     Constraint::ge(x(), 0.5),
@@ -1349,6 +1061,7 @@ mod tests {
                 square_domain(2.0),
             ),
             (
+                solver.clone(),
                 Formula::all_of([
                     Constraint::le(x().powi(2) + y().powi(2), 0.25),
                     Constraint::ge(x(), 1.0),
@@ -1356,37 +1069,67 @@ mod tests {
                 square_domain(2.0),
             ),
             (
+                solver.clone(),
                 Formula::atom(Constraint::eq(x().powi(2), 2.0)),
                 IntervalBox::from_bounds(&[(0.0, 2.0), (0.0, 1.0)]),
             ),
+            // Clipped controller shape.
             (
+                solver.clone(),
                 Formula::atom(Constraint::ge(
                     (x().clone().tanh() * 2.0 + (y() * 0.5).sigmoid()).min(x() + y()),
                     0.75,
                 )),
                 square_domain(3.0),
             ),
+            // Disjunction across partial-domain operators (sqrt/exp).
             (
+                solver.clone(),
                 Formula::any_of([
                     Constraint::le((x() * 3.0).sin() + y().powi(3), -4.0),
                     Constraint::ge(x().abs().sqrt() - y().exp(), 1.0),
                 ]),
                 square_domain(1.5),
             ),
+            // The decrease condition on a stable linear system:
+            // ∃ x ∈ D \ X0 : ∇W · f ≥ −γ must be UNSAT.
+            (
+                solver.clone(),
+                Formula::and(vec![
+                    outside_x0,
+                    Formula::atom(Constraint::ge(grad_dot_f, -1e-6)),
+                ]),
+                square_domain(3.0),
+            ),
+            (solver.clone(), choosy, choosy_domain),
+            (
+                solver.clone(),
+                Formula::atom(Constraint::ge(deep_relu_ladder(), 0.4)),
+                square_domain(1.5),
+            ),
+            // A hard query under a tiny box budget: the Unknown must fire
+            // after exactly the same boxes on every evaluator.
+            (
+                DeltaSolver::new(1e-9).with_max_boxes(20),
+                Formula::atom(Constraint::le(
+                    (x() * 37.0).sin() * (y() * 53.0).cos(),
+                    -0.999_999,
+                )),
+                square_domain(10.0),
+            ),
         ]
     }
 
     #[test]
     fn compiled_and_tree_evaluators_explore_identical_box_trees() {
-        // The compiled-tape engine (with region specialization, which is
-        // bit-invisible) must be observationally indistinguishable from the
-        // tree-walking reference: same verdict, same witness box (bitwise),
-        // same statistics — i.e. the same search tree.  Newton cuts change
-        // the tree by design, so the comparison pins them off.
-        for (formula, domain) in differential_queries() {
-            let fast = DeltaSolver::new(1e-4).with_newton_cuts(false);
-            assert!(fast.tape_specialization());
-            let reference = DeltaSolver::new(1e-4).with_tree_evaluator();
+        // The compiled-tape engine must be observationally
+        // indistinguishable from the tree-walking reference: same verdict,
+        // same witness box (bitwise), same statistics — i.e. the same search
+        // tree.  Newton cuts change the tree by design, so the comparison
+        // pins them off.
+        for (solver, formula, domain) in differential_queries() {
+            let fast = solver.clone().with_newton_cuts(false);
+            let reference = solver.with_tree_evaluator();
             let (fast_result, fast_stats) = fast.solve_with_stats(&formula, &domain);
             let (ref_result, ref_stats) = reference.solve_with_stats(&formula, &domain);
             assert_eq!(fast_stats, ref_stats, "stats diverge on {formula}");
@@ -1395,30 +1138,9 @@ mod tests {
                     assert_eq!(a, b, "witness boxes diverge on {formula}");
                 }
                 (SatResult::Unsat, SatResult::Unsat) => {}
-                (SatResult::Unknown(_), SatResult::Unknown(_)) => {}
-                (a, b) => panic!("verdicts diverge on {formula}: {a} vs {b}"),
-            }
-        }
-    }
-
-    #[test]
-    fn specialization_is_bit_invisible() {
-        // With the search-tree-changing cuts pinned off, toggling region
-        // specialization must not change anything observable.
-        for (formula, domain) in differential_queries() {
-            let on = DeltaSolver::new(1e-4).with_newton_cuts(false);
-            let off = DeltaSolver::new(1e-4)
-                .with_newton_cuts(false)
-                .with_tape_specialization(false);
-            let (a, sa) = on.solve_with_stats(&formula, &domain);
-            let (b, sb) = off.solve_with_stats(&formula, &domain);
-            assert_eq!(sa, sb, "stats diverge on {formula}");
-            match (&a, &b) {
-                (SatResult::DeltaSat(wa), SatResult::DeltaSat(wb)) => {
-                    assert_eq!(wa, wb, "witness boxes diverge on {formula}");
+                (SatResult::Unknown(a), SatResult::Unknown(b)) => {
+                    assert_eq!(a, b, "unknown reasons diverge on {formula}");
                 }
-                (SatResult::Unsat, SatResult::Unsat) => {}
-                (SatResult::Unknown(_), SatResult::Unknown(_)) => {}
                 (a, b) => panic!("verdicts diverge on {formula}: {a} vs {b}"),
             }
         }
@@ -1427,9 +1149,9 @@ mod tests {
     #[test]
     fn newton_cuts_agree_on_verdicts_and_shrink_the_search() {
         let mut some_query_got_cheaper = false;
-        for (formula, domain) in differential_queries() {
-            let with_cuts = DeltaSolver::new(1e-4);
-            let without = DeltaSolver::new(1e-4).with_newton_cuts(false);
+        for (solver, formula, domain) in differential_queries() {
+            let without = solver.clone().with_newton_cuts(false);
+            let with_cuts = solver;
             let (a, sa) = with_cuts.solve_with_stats(&formula, &domain);
             let (b, sb) = without.solve_with_stats(&formula, &domain);
             assert_eq!(a.is_unsat(), b.is_unsat(), "verdict diverges on {formula}");
@@ -1455,8 +1177,7 @@ mod tests {
 
     #[test]
     fn precompiled_queries_solve_identically() {
-        for (formula, domain) in differential_queries() {
-            let solver = DeltaSolver::new(1e-4);
+        for (solver, formula, domain) in differential_queries() {
             let compiled = CompiledFormula::compile(&formula);
             let (a, sa) = solver.solve_with_stats(&formula, &domain);
             let (b, sb) = solver.solve_compiled_with_stats(&compiled, &domain);
@@ -1467,7 +1188,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_agrees_with_sequential_verdicts() {
+    fn parallel_search_agrees_with_sequential_verdicts() {
         let queries: Vec<(Formula, IntervalBox)> = vec![
             // Satisfiable conjunction.
             (
@@ -1506,7 +1227,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_is_deterministic_per_thread_count() {
+    fn parallel_search_is_deterministic_per_thread_count() {
         let formula = Formula::atom(Constraint::eq(x().powi(2) + y().powi(2), 1.0));
         let solver = DeltaSolver::new(1e-5).with_threads(3);
         let a = solver.solve(&formula, &square_domain(2.0));
@@ -1517,9 +1238,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_does_not_degenerate_to_breadth_first() {
+    fn parallel_search_does_not_degenerate_to_breadth_first() {
         // Regression test: a weakly-contracting δ-SAT query whose witness
-        // sits deep in the search tree.  An earlier batched implementation
+        // sits deep in the search tree.  An earlier parallel implementation
         // processed the whole stack per round (breadth-first), exploring
         // 30–70× more boxes than the sequential search and turning tight
         // budgets into spurious Unknowns.  The speculative-DFS search must
@@ -1545,7 +1266,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_budget_exhaustion_reports_unknown() {
+    fn parallel_budget_exhaustion_reports_unknown() {
         let formula = Formula::atom(Constraint::le(
             (x() * 37.0).sin() * (y() * 53.0).cos(),
             -0.999_999,
@@ -1597,10 +1318,8 @@ mod tests {
             .with_max_boxes(10)
             .with_contraction_rounds(2);
         assert_eq!(solver.precision(), 1e-3);
-        assert!(solver.tape_specialization());
         assert!(solver.newton_cuts());
         let reference = solver.clone().with_tree_evaluator();
-        assert!(!reference.tape_specialization());
         assert!(!reference.newton_cuts());
         assert_eq!(format!("{}", SatResult::Unsat), "unsat");
         // The Boxes display string is byte-compatible with the pre-governance
@@ -1671,87 +1390,38 @@ mod tests {
         }
     }
 
-    /// A governed query with `min`/`max`/`abs` choice sites, so the batched
-    /// sibling sweeps record choice traces and the prefilled boxes exercise
-    /// the lazily-charged fuel watermark.
-    fn choosy_query() -> (Formula, IntervalBox) {
-        let w = (x() * 3.0)
-            .sin()
-            .abs()
-            .max((y() * 2.0).cos())
-            .min(x() + y());
-        (Formula::atom(Constraint::eq(w, 0.25)), square_domain(3.0))
-    }
-
     #[test]
-    fn fuel_exhaustion_is_evaluator_invariant() {
-        // Batch-prefilled sweeps are charged lazily, per logical box, by the
-        // `charged` watermark: a child's recorded sweep bills exactly the
-        // instructions the scalar interpreter would have executed when that
-        // child is popped (and bills nothing for children that are never
-        // popped).  The fuel truncation point — verdict, search statistics,
-        // and consumed fuel — is therefore identical with batched sibling
-        // evaluation on or off, at any configured thread count (a fuel limit
-        // forces the sequential path either way).
+    fn fuel_exhaustion_on_choice_sites_is_thread_count_invariant() {
+        // A fuel limit forces the sequential path, so on a query with
+        // `min`/`max`/`abs` choice sites the truncation point — verdict,
+        // search statistics, and consumed fuel — is identical at any
+        // configured thread count.
         let (formula, domain) = choosy_query();
         let mut runs = Vec::new();
-        for batched in [true, false] {
-            for threads in [1usize, 2] {
-                let solver = DeltaSolver::new(1e-6)
-                    .with_threads(threads)
-                    .with_batched_evaluation(batched)
-                    .with_budget(Budget::unlimited().with_fuel(700));
-                let (result, stats) = solver.solve_with_stats(&formula, &domain);
-                assert!(
-                    matches!(result, SatResult::Unknown(ExhaustionReason::Fuel(700))),
-                    "batched={batched} threads={threads}: got {result}"
-                );
-                runs.push((batched, threads, stats, solver.budget().fuel_used()));
-            }
+        for threads in [1usize, 2, 4] {
+            let solver = DeltaSolver::new(1e-6)
+                .with_threads(threads)
+                .with_budget(Budget::unlimited().with_fuel(700));
+            let (result, stats) = solver.solve_with_stats(&formula, &domain);
+            assert!(
+                matches!(result, SatResult::Unknown(ExhaustionReason::Fuel(700))),
+                "threads={threads}: got {result}"
+            );
+            runs.push((threads, stats, solver.budget().fuel_used()));
         }
-        let (_, _, first, first_fuel) = runs[0];
-        for (batched, threads, stats, fuel) in &runs {
-            let tag = format!("batched={batched} threads={threads}");
-            assert_eq!(stats.boxes_explored, first.boxes_explored, "{tag}");
-            assert_eq!(stats.bisections, first.bisections, "{tag}");
+        let (_, first, first_fuel) = runs[0];
+        for (threads, stats, fuel) in &runs {
+            assert_eq!(
+                stats.boxes_explored, first.boxes_explored,
+                "threads={threads}"
+            );
+            assert_eq!(stats.bisections, first.bisections, "threads={threads}");
             assert_eq!(
                 stats.instructions_executed, first.instructions_executed,
-                "{tag}"
+                "threads={threads}"
             );
-            assert_eq!(*fuel, first_fuel, "{tag}");
+            assert_eq!(*fuel, first_fuel, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn deep_relu_controller_query_stays_bit_identical_and_cheaper() {
-        // A deep ReLU ladder — the shape of a compiled NN controller — is
-        // the workload choice-trace specialization exists for: every box
-        // decides a few more `max(·, 0)` branches, and the decided prefix
-        // must never be re-derived from scratch.  The solver-visible
-        // contract: specialization is bit-invisible (identical verdict and
-        // search tree) and strictly reduces the work-per-box integral.
-        let mut out = x() * 0.9 + y() * 0.1;
-        for i in 0..24 {
-            // Unit-scale weights keep the signal alive through all layers,
-            // so the search has to descend (and decide ReLUs) to a verdict.
-            let w = 1.0 + 0.01 * (i % 5) as f64;
-            let b = 0.01 * (i % 3) as f64;
-            out = (out * w + b).max(Expr::constant(0.0)) - 0.01;
-        }
-        let formula = Formula::atom(Constraint::ge(out, 0.4));
-        let domain = square_domain(1.5);
-        let spec = DeltaSolver::new(1e-4).with_newton_cuts(false);
-        let plain = spec.clone().with_tape_specialization(false);
-        let (a, sa) = spec.solve_with_stats(&formula, &domain);
-        let (b, sb) = plain.solve_with_stats(&formula, &domain);
-        assert_eq!(a.witness(), b.witness());
-        assert_eq!(sa, sb);
-        assert!(
-            sa.specialized_tape_len_sum < sb.specialized_tape_len_sum,
-            "specialization never shortened the deep ReLU program: {} vs {}",
-            sa.specialized_tape_len_sum,
-            sb.specialized_tape_len_sum
-        );
     }
 
     #[test]

@@ -89,9 +89,9 @@ fn decode_expr(tokens: &[usize], consts: &[f64]) -> Expr {
 }
 
 /// A `min`/`max`/`abs`-heavy decoder: roughly half the emitted nodes are
-/// choice sites (including explicit ReLU clamps), stressing choice-trace
-/// recording and the delta-driven re-specialization much harder than the
-/// uniform operator mix of [`decode_expr`].
+/// branch sites (including explicit ReLU clamps), stressing the HC4
+/// inversions of the piecewise operators much harder than the uniform
+/// operator mix of [`decode_expr`].
 fn decode_choosy_expr(tokens: &[usize], consts: &[f64]) -> Expr {
     let mut stack: Vec<Expr> = Vec::new();
     for &t in tokens {
@@ -268,8 +268,7 @@ proptest! {
         // A budget keeps degenerate samples (e.g. equalities over flat
         // expressions) from dominating the run; Unknown-vs-Unknown is still
         // compared for identical statistics.  Newton cuts change the search
-        // tree by design, so the bit-identity comparison pins them off —
-        // region specialization stays on (it must be invisible).
+        // tree by design, so the bit-identity comparison pins them off.
         let fast = DeltaSolver::new(1e-3)
             .with_max_boxes(20_000)
             .with_newton_cuts(false);
@@ -285,107 +284,10 @@ proptest! {
         }
     }
 
-    /// Specialized views must evaluate bit-identically to the full tape —
-    /// scalar and interval — at every point and on every nested sub-box of
-    /// the region they were specialized to, including views re-specialized
-    /// from views.
-    #[test]
-    fn prop_specialized_views_evaluate_bit_identically(
-        tokens in collection::vec(0usize..10_000, 1..40),
-        consts in collection::vec(-2.5f64..2.5, 6),
-        ax in -3.0f64..1.0, ay in -3.0f64..1.0,
-        wx in 0.1f64..2.0, wy in 0.1f64..2.0,
-        sx in 0.0f64..1.0, sy in 0.0f64..1.0,
-        tx in 0.0f64..1.0, ty in 0.0f64..1.0,
-    ) {
-        use nncps_expr::{SpecializeScratch, TapeView};
-        let expr = decode_expr(&tokens, &consts);
-        let tape = Tape::compile(&expr);
-        let region = IntervalBox::from_bounds(&[(ax, ax + wx), (ay, ay + wy)]);
-        let mut scratch = SpecializeScratch::default();
-        let view = tape.specialize(&region, &mut scratch);
-
-        // A random sub-box of the region, and a sub-box of that sub-box for
-        // the re-specialized view.
-        let sub = IntervalBox::from_bounds(&[
-            (ax + sx * wx * 0.5, ax + wx * (0.5 + 0.5 * sx)),
-            (ay + sy * wy * 0.5, ay + wy * (0.5 + 0.5 * sy)),
-        ]);
-        let mut full_i = Vec::new();
-        let mut view_i = Vec::new();
-        let mut full_s = Vec::new();
-        let mut view_s = Vec::new();
-        let mut check = |view: &TapeView, sub: &IntervalBox| {
-            tape.eval_interval_into(sub, &mut full_i);
-            view.eval_interval_into(&tape, sub, &mut view_i);
-            let root = view.root_slot(0).expect("all roots kept");
-            assert_interval_bits(view_i[root], full_i[tape.root_slot(0)], "view enclosure");
-            let point = sub.lerp_point(&[tx, ty]);
-            tape.eval_scalar_into(&point, &mut full_s);
-            view.eval_scalar_into(&tape, &point, &mut view_s);
-            assert_eq!(
-                view_s[root].to_bits(),
-                full_s[tape.root_slot(0)].to_bits(),
-                "view scalar at {point:?}"
-            );
-        };
-        check(&view, &sub);
-
-        // Re-specialize from the view on the sub-box (recording the choice
-        // trace the delta pass consumes) and check on a nested sub-sub-box.
-        // A `false` return means the delta pass found nothing new to decide,
-        // in which case the parent view stays the active program.
-        use nncps_expr::{Choice, ChoiceAnalysis};
-        let mut slots = Vec::new();
-        let mut choices = vec![Choice::Both; tape.num_choices()];
-        view.eval_interval_extend_into_recording(&tape, &sub, &mut slots, view.len(), &mut choices);
-        let analysis = ChoiceAnalysis::analyze(&tape);
-        let mut child = TapeView::default();
-        let keep = vec![true; tape.num_roots()];
-        let derived =
-            view.respecialize_into(&tape, &analysis, &slots, &choices, &keep, &mut scratch, &mut child);
-        let nested = IntervalBox::from_bounds(&[
-            (sub[0].lo() + 0.25 * sub[0].width(), sub[0].lo() + 0.75 * sub[0].width()),
-            (sub[1].lo() + 0.25 * sub[1].width(), sub[1].lo() + 0.75 * sub[1].width()),
-        ]);
-        check(if derived { &child } else { &view }, &nested);
-    }
-
-    /// Region specialization must be bit-invisible on whole solver runs:
-    /// random expression trees, solved with specialization on and off
-    /// (Newton cuts pinned off on both sides), must explore identical box
-    /// trees and return bitwise-identical witnesses.
-    #[test]
-    fn prop_specialized_solver_runs_are_bit_identical(
-        tokens in collection::vec(0usize..10_000, 1..30),
-        consts in collection::vec(-2.5f64..2.5, 6),
-        bound in -2.0f64..2.0,
-        relation in 0usize..5,
-    ) {
-        let expr = decode_expr(&tokens, &consts);
-        let relation = [Relation::Le, Relation::Lt, Relation::Ge, Relation::Gt, Relation::Eq][relation];
-        let formula = Formula::atom(Constraint::new(expr, relation, bound));
-        let domain = IntervalBox::from_bounds(&[(-2.0, 2.0), (-2.0, 2.0)]);
-        let specialized = DeltaSolver::new(1e-3)
-            .with_max_boxes(20_000)
-            .with_newton_cuts(false);
-        let plain = specialized.clone().with_tape_specialization(false);
-        let (spec_result, spec_stats) = specialized.solve_with_stats(&formula, &domain);
-        let (plain_result, plain_stats) = plain.solve_with_stats(&formula, &domain);
-        prop_assert_eq!(spec_stats, plain_stats);
-        match (&spec_result, &plain_result) {
-            (SatResult::DeltaSat(a), SatResult::DeltaSat(b)) => assert_box_bits(a, b, "witness"),
-            (SatResult::Unsat, SatResult::Unsat) => {}
-            (SatResult::Unknown(a), SatResult::Unknown(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "verdicts diverge: {} vs {}", a, b),
-        }
-    }
-
     /// Choice-heavy random DAGs (about half the nodes are `min`/`max`/`abs`
-    /// sites) solved with the full acceleration stack — compiled tapes,
-    /// choice-trace specialization, batched sibling sweeps — must explore
-    /// the identical box tree and return bitwise-identical witnesses as the
-    /// tree-walking reference evaluator.
+    /// sites) solved on compiled tapes must explore the identical box tree
+    /// and return bitwise-identical witnesses as the tree-walking reference
+    /// evaluator.
     #[test]
     fn prop_choice_heavy_solver_runs_match_tree_reference(
         tokens in collection::vec(0usize..10_000, 1..40),

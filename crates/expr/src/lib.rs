@@ -39,23 +39,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod diff;
 mod eval;
 mod expr;
 pub mod fingerprint;
 mod ops;
-mod regalloc;
 mod simplify;
-pub mod specialize;
 mod tape;
 mod vars;
 
-pub use batch::{BatchScratch, LaneBuf};
 pub use expr::{Expr, ExprView};
 pub use fingerprint::{Fingerprint, StructuralHasher};
 pub use ops::{BinaryOp, UnaryOp};
-pub use regalloc::{AllocatedTape, RegAlloc, RegInstr, RegScratch, RootLoc, DEFAULT_REGISTERS};
-pub use specialize::{ChoiceAnalysis, SpecializeScratch, TapeView};
-pub use tape::{Choice, Tape, TapeInstr};
+pub use tape::{Tape, TapeInstr};
 pub use vars::VarSet;

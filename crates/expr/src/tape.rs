@@ -57,82 +57,10 @@ use nncps_interval::{Interval, IntervalBox};
 use crate::expr::Node;
 use crate::{BinaryOp, Expr, UnaryOp};
 
-/// Sentinel in [`Tape::choice_index`] (and per-view choice-id columns) for
-/// instructions that are not choice sites.
-pub(crate) const NO_CHOICE: u16 = u16::MAX;
-
-/// Branch decision recorded at a `min`/`max`/`abs` *choice site* during a
-/// forward interval sweep.
-///
-/// The recorded byte captures pure interval *separation* on the current
-/// region — `Left`/`Right` mean the operand intervals are strictly ordered
-/// (for `abs`: the operand is strictly positive/negative), `Both` means the
-/// site is still undecided.  Specialization applies its NaN/clip taint veto
-/// later, at emission time, so recording costs one branch per site and
-/// nothing on choice-free tapes.
-///
-/// For `min(a, b)` and `max(a, b)`, `Left` selects `a` and `Right` selects
-/// `b`.  For `abs(a)`, `Left` means `abs` is the identity (operand strictly
-/// positive) and `Right` means it is a negation (operand strictly negative).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[repr(u8)]
-pub enum Choice {
-    /// Undecided: both branches of the site remain reachable.
-    #[default]
-    Both = 0,
-    /// The left branch wins (`min`/`max` selects `lhs`; `abs` is identity).
-    Left = 1,
-    /// The right branch wins (`min`/`max` selects `rhs`; `abs` negates).
-    Right = 2,
-}
-
-impl Choice {
-    /// Separation choice of `min(a, b)` — identical predicate to the decide
-    /// pass of tape-level specialization.
-    #[inline]
-    pub(crate) fn of_min(a: Interval, b: Interval) -> Choice {
-        if a.hi() < b.lo() {
-            Choice::Left
-        } else if b.hi() < a.lo() {
-            Choice::Right
-        } else {
-            Choice::Both
-        }
-    }
-
-    /// Separation choice of `max(a, b)`.
-    #[inline]
-    pub(crate) fn of_max(a: Interval, b: Interval) -> Choice {
-        if a.lo() > b.hi() {
-            Choice::Left
-        } else if b.lo() > a.hi() {
-            Choice::Right
-        } else {
-            Choice::Both
-        }
-    }
-
-    /// Sign choice of `abs(a)`: `Left` when strictly positive, `Right` when
-    /// strictly negative, `Both` otherwise (including the empty interval,
-    /// whose `lo > 0 && hi < 0` bounds would satisfy either test).
-    #[inline]
-    pub(crate) fn of_abs(a: Interval) -> Choice {
-        if a.is_empty() {
-            Choice::Both
-        } else if a.lo() > 0.0 {
-            Choice::Left
-        } else if a.hi() < 0.0 {
-            Choice::Right
-        } else {
-            Choice::Both
-        }
-    }
-}
-
 /// Operation tag of one tape instruction (the struct-of-arrays "opcode"
 /// column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum OpCode {
+enum OpCode {
     /// Load a (possibly folded) constant; `lhs` indexes the constant pools.
     Const,
     /// Load variable `lhs`.
@@ -212,25 +140,19 @@ pub enum TapeInstr {
 #[derive(Debug, Clone)]
 pub struct Tape {
     /// Opcode column (struct-of-arrays with `lhs`/`rhs`).
-    pub(crate) ops: Vec<OpCode>,
+    ops: Vec<OpCode>,
     /// First operand column: slot index, variable index, or constant index.
-    pub(crate) lhs: Vec<u32>,
+    lhs: Vec<u32>,
     /// Second operand column: slot index or `powi` exponent bits.
-    pub(crate) rhs: Vec<u32>,
+    rhs: Vec<u32>,
     /// Scalar constant pool.
-    pub(crate) const_scalars: Vec<f64>,
+    const_scalars: Vec<f64>,
     /// Interval constant pool (same indexing as `const_scalars`).
-    pub(crate) const_intervals: Vec<Interval>,
+    const_intervals: Vec<Interval>,
     /// Root slots, one per compiled expression, in compilation order.
-    pub(crate) roots: Vec<u32>,
+    roots: Vec<u32>,
     /// `1 + max variable index`, or `0` when no variables occur.
-    pub(crate) num_vars: usize,
-    /// Per-slot choice-site id (`NO_CHOICE` for non-sites).  A slot is a
-    /// choice site when its opcode is `min`, `max`, or `abs` — the
-    /// operations whose interval result can collapse to one operand's cone.
-    pub(crate) choice_index: Vec<u16>,
-    /// Per-choice-id slot (inverse of `choice_index`), in slot order.
-    pub(crate) choice_slots: Vec<u32>,
+    num_vars: usize,
 }
 
 /// Hash-consing state used during lowering.
@@ -385,8 +307,6 @@ impl Builder {
             const_intervals: Vec::new(),
             roots: Vec::new(),
             num_vars: self.num_vars,
-            choice_index: Vec::new(),
-            choice_slots: Vec::new(),
         };
         for i in 0..self.ops.len() {
             if !live[i] {
@@ -417,7 +337,6 @@ impl Builder {
             tape.rhs.push(rhs);
         }
         tape.roots = roots.iter().map(|&r| slot_map[r as usize]).collect();
-        tape.index_choice_sites();
         tape
     }
 }
@@ -465,35 +384,6 @@ impl Tape {
     /// length accepted by the evaluators), or `0` for variable-free tapes.
     pub fn num_vars(&self) -> usize {
         self.num_vars
-    }
-
-    /// Number of choice sites (`min`/`max`/`abs` instructions) in the tape.
-    ///
-    /// Choice ids index the buffers used by the recording evaluators
-    /// ([`Tape::eval_interval_extend_into_recording`]) and by
-    /// choice-trace specialization ([`crate::specialize::ChoiceAnalysis`]).
-    pub fn num_choices(&self) -> usize {
-        self.choice_slots.len()
-    }
-
-    /// Assigns choice ids to `min`/`max`/`abs` slots after compaction.
-    ///
-    /// Ids are `u16`; in the (unrealistic) event a tape holds more than
-    /// `u16::MAX - 1` sites, the excess sites simply get no id and are never
-    /// specialized — sound, merely less aggressive.
-    fn index_choice_sites(&mut self) {
-        self.choice_index = vec![NO_CHOICE; self.ops.len()];
-        self.choice_slots.clear();
-        for i in 0..self.ops.len() {
-            let is_site = matches!(
-                self.ops[i],
-                OpCode::Binary(BinaryOp::Min | BinaryOp::Max) | OpCode::Unary(UnaryOp::Abs)
-            );
-            if is_site && self.choice_slots.len() < NO_CHOICE as usize {
-                self.choice_index[i] = self.choice_slots.len() as u16;
-                self.choice_slots.push(i as u32);
-            }
-        }
     }
 
     /// Returns a view of instruction `slot`.
@@ -620,61 +510,6 @@ impl Tape {
                 OpCode::Var => region[lhs],
                 OpCode::Unary(op) => op.apply_interval(slots[lhs]),
                 OpCode::Binary(op) => op.apply_interval(slots[lhs], slots[self.rhs[i] as usize]),
-                OpCode::Powi => slots[lhs].powi(self.rhs[i] as i32),
-            };
-            slots.push(v);
-        }
-    }
-
-    /// Recording twin of [`Tape::eval_interval_extend_into`]: additionally
-    /// records a [`Choice`] byte per evaluated choice site into `choices`
-    /// (indexed by choice id; see [`Tape::num_choices`]).
-    ///
-    /// The recorded values are the pure separation decisions of the current
-    /// region; computed slot values are bit-identical to the non-recording
-    /// sweep.  Callers with choice-free tapes should use the non-recording
-    /// variant (the per-instruction id lookup is the only overhead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > self.num_slots()`, if `choices` is shorter than
-    /// [`Tape::num_choices`], or the evaluated range references a variable
-    /// index out of bounds for the box.
-    pub fn eval_interval_extend_into_recording(
-        &self,
-        region: &IntervalBox,
-        slots: &mut Vec<Interval>,
-        count: usize,
-        choices: &mut [Choice],
-    ) {
-        assert!(count <= self.ops.len(), "prefix exceeds tape length");
-        self.check_box_inputs(region.dim());
-        slots.reserve(count.saturating_sub(slots.len()));
-        for i in slots.len()..count {
-            let lhs = self.lhs[i] as usize;
-            let v = match self.ops[i] {
-                OpCode::Const => self.const_intervals[lhs],
-                OpCode::Var => region[lhs],
-                OpCode::Unary(op) => {
-                    let va = slots[lhs];
-                    let id = self.choice_index[i];
-                    if id != NO_CHOICE {
-                        choices[id as usize] = Choice::of_abs(va);
-                    }
-                    op.apply_interval(va)
-                }
-                OpCode::Binary(op) => {
-                    let va = slots[lhs];
-                    let vb = slots[self.rhs[i] as usize];
-                    let id = self.choice_index[i];
-                    if id != NO_CHOICE {
-                        choices[id as usize] = match op {
-                            BinaryOp::Min => Choice::of_min(va, vb),
-                            _ => Choice::of_max(va, vb),
-                        };
-                    }
-                    op.apply_interval(va, vb)
-                }
                 OpCode::Powi => slots[lhs].powi(self.rhs[i] as i32),
             };
             slots.push(v);

@@ -19,9 +19,9 @@ pub enum Activation {
     /// Rectified linear unit `max(x, 0)`.
     Relu,
     /// Symmetric saturating linear `min(max(x, -1), 1)`, MATLAB's `satlins`.
-    /// Like ReLU it lowers to pure `min`/`max` tape instructions, so it is
-    /// fully decidable by region specialization (both clamps resolve once a
-    /// box leaves the [-1, 1] band).
+    /// Like ReLU it lowers to pure `min`/`max` tape instructions, whose HC4
+    /// inversions are exact once a box leaves the [-1, 1] band (both clamps
+    /// are then decided).
     HardTanh,
     /// Identity (MATLAB's `purelin`), typically used on output layers.
     Linear,

@@ -13,13 +13,9 @@
 //!
 //! * **Fuel** is counted in *tape instructions executed* (the δ-SAT
 //!   solver's `instructions_executed` counter), a pure function of the
-//!   search tree.  The count is **per logical box**, in scalar-equivalent
-//!   instructions: a sweep recorded ahead of time by the batched sibling
-//!   evaluator is charged lazily, when (and only when) the box it belongs
-//!   to is actually processed — so the counter, and therefore the fuel
-//!   truncation point, is invariant across evaluation backends (batched or
-//!   scalar) as well as machines, OS schedulers, and thread counts.
-//!   Fuel-governed solves force the sequential search path so the
+//!   search tree — so the counter, and therefore the fuel truncation
+//!   point, is invariant across machines, OS schedulers, and thread
+//!   counts.  Fuel-governed solves force the sequential search path so the
 //!   truncation point is unique.  Fuel exhaustion may therefore appear in
 //!   pinned deterministic reports.
 //! * **Deadline** is wall-clock and inherently non-deterministic; it

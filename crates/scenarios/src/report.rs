@@ -71,8 +71,8 @@ pub struct RunStats {
     pub clauses_examined: usize,
     /// Total tape instructions executed by solver forward sweeps.
     pub instructions_executed: usize,
-    /// Σ of active (possibly region-specialized) program lengths over all
-    /// solver boxes — the work-per-box integral specialization shrinks.
+    /// Σ of compiled program (full tape) lengths over all solver boxes —
+    /// the work-per-box integral of one forward sweep per box.
     pub specialized_tape_len_sum: usize,
     /// Derivative-guided cuts (monotonicity collapses + interval-Newton
     /// narrowings) applied by the solver.

@@ -5,11 +5,10 @@
 //!
 //! "Identical" is strict: the same verdict, the same witness box bit for
 //! bit, and the same search statistics (boxes explored / pruned /
-//! bisections), i.e. both evaluators walk the same box tree.  Region
-//! specialization stays enabled on the compiled side (it must be
-//! bit-invisible); the derivative-guided Newton/monotonicity cuts are pinned
-//! off for the bit-identity half (they change the search tree by design) and
-//! covered separately by verdict-equivalence assertions.
+//! bisections), i.e. both evaluators walk the same box tree.  The
+//! derivative-guided Newton/monotonicity cuts are pinned off for the
+//! bit-identity half (they change the search tree by design) and covered
+//! separately by verdict-equivalence assertions.
 
 use nncps_barrier::{ClosedLoopSystem, QuadraticTemplate, QueryBuilder, SafetySpec};
 use nncps_deltasat::{Constraint, DeltaSolver, Formula, SatResult};
@@ -139,4 +138,80 @@ fn nn_output_bound_query_explores_identical_box_tree() {
     let query = Formula::atom(Constraint::ge(symbolic, 1.0001));
     let domain = IntervalBox::from_bounds(&[(-5.0, 5.0), (-2.0, 2.0)]);
     assert_identical("nn bound", &query, &domain, DeltaSolver::new(1e-4));
+}
+
+fn x() -> Expr {
+    Expr::var(0)
+}
+
+fn y() -> Expr {
+    Expr::var(1)
+}
+
+fn square_domain(half: f64) -> IntervalBox {
+    IntervalBox::from_bounds(&[(-half, half), (-half, half)])
+}
+
+#[test]
+fn controller_shaped_queries_explore_identical_box_trees() {
+    // `min`/`max`/`abs` choice sites.
+    let choosy = (x() * 3.0)
+        .sin()
+        .abs()
+        .max((y() * 2.0).cos())
+        .min(x() + y());
+    assert_identical(
+        "choosy",
+        &Formula::atom(Constraint::eq(choosy, 0.25)),
+        &square_domain(3.0),
+        DeltaSolver::new(1e-4),
+    );
+
+    // A 24-layer ReLU ladder, the shape of a compiled NN controller.
+    let mut ladder = x() * 0.9 + y() * 0.1;
+    for i in 0..24 {
+        let w = 1.0 + 0.01 * (i % 5) as f64;
+        let b = 0.01 * (i % 3) as f64;
+        ladder = (ladder * w + b).max(Expr::constant(0.0)) - 0.01;
+    }
+    assert_identical(
+        "deep relu ladder",
+        &Formula::atom(Constraint::ge(ladder, 0.4)),
+        &square_domain(1.5),
+        DeltaSolver::new(1e-4),
+    );
+
+    // A clipped controller term.
+    assert_identical(
+        "clipped controller",
+        &Formula::atom(Constraint::ge(
+            (x().tanh() * 2.0 + (y() * 0.5).sigmoid()).min(x() + y()),
+            0.75,
+        )),
+        &square_domain(3.0),
+        DeltaSolver::new(1e-4),
+    );
+
+    // A disjunction across partial-domain operators (sqrt/exp).
+    assert_identical(
+        "disjunction",
+        &Formula::any_of([
+            Constraint::le((x() * 3.0).sin() + y().powi(3), -4.0),
+            Constraint::ge(x().abs().sqrt() - y().exp(), 1.0),
+        ]),
+        &square_domain(1.5),
+        DeltaSolver::new(1e-4),
+    );
+
+    // A hard query under a tiny box budget: the Unknown fires after the
+    // same boxes on both evaluators.
+    assert_identical(
+        "box budget exhaustion",
+        &Formula::atom(Constraint::le(
+            (x() * 37.0).sin() * (y() * 53.0).cos(),
+            -0.999_999,
+        )),
+        &square_domain(10.0),
+        DeltaSolver::new(1e-9).with_max_boxes(20),
+    );
 }
