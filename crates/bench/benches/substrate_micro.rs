@@ -223,8 +223,8 @@ fn family_sweep_bench(c: &mut Criterion) {
     // The CI family: 24 generated members over contraction rate × X0 ×
     // solver precision.  `warm_24` shares one fresh SweepCache across the
     // whole sweep (compiled queries, seed traces, LP candidates, built
-    // dynamics); `cold_24` runs every member independently — the
-    // per-scenario path a sweep engine without warm start would take.
+    // dynamics); `cold_24` runs every member over a fresh cache of its
+    // own, so every lookup misses — the same code with nothing to reuse.
     // Reports are byte-identical either way (asserted by
     // tests/family_warm_start.rs); the ratio of these two medians is the
     // warm-start speedup ci.sh gates within one run.
@@ -259,8 +259,7 @@ fn family_sweep_bench(c: &mut Criterion) {
 /// `governed` lane runs the identical query under a fuel budget generous
 /// enough to never trip, so the difference is pure governance overhead
 /// (one charge + three relaxed atomic loads per box pop).  ci.sh holds the
-/// governed lane to ≤2% over the ungoverned lane and anchors it against
-/// the BENCH_pr6.json record of the ungoverned headline.
+/// governed lane to ≤2% over the ungoverned lane measured in the same run.
 fn govern_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/govern");
     // Generous sampling: the ≤2% overhead gate compares best-case

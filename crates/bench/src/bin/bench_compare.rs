@@ -4,8 +4,9 @@
 //! is set, looks the same benchmark up in a checked-in baseline record
 //! (`BENCH_pr4.json`; older `BENCH_pr2.json`-layout records still parse),
 //! and fails when the current median per-iteration time regresses beyond
-//! the tolerance.  `ci.sh` runs it on the default headline (and, with
-//! `--bench` / `--baseline-bench`, on the governed lane of that headline).
+//! the tolerance.  Absolute medians move with the host, so `ci.sh` gates
+//! only the within-run modes below; this mode is for comparing a run
+//! against a record made on the same host.
 //!
 //! ```text
 //! CRITERION_JSON=target/bench_current.jsonl \
@@ -22,8 +23,9 @@
 //! A second mode gates a *speedup within one run* instead of a regression
 //! against a baseline: `bench-compare CURRENT.jsonl --speedup SLOW FAST
 //! [--min RATIO]` fails unless `median(SLOW) / median(FAST) ≥ RATIO`
-//! (default 2).  ci.sh uses it to hold the warm-start family sweep to its
-//! speedup over the cold sweep, both measured in the same run.
+//! (default 2).  ci.sh uses it to hold the compiled solver to its speedup
+//! over the tree-walking reference, and the warm-start family sweep to its
+//! speedup over per-member caches, each pair measured in the same run.
 //!
 //! A third mode gates an *overhead within one run*: `bench-compare
 //! CURRENT.jsonl --overhead BASE CANDIDATE [--max-pct PCT]` fails unless

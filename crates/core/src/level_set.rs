@@ -1,7 +1,7 @@
 //! Level-set selection: finding `ℓ` such that `X0 ⊆ {W ≤ ℓ}` and
 //! `{W ≤ ℓ} ∩ U = ∅`.
 
-use nncps_deltasat::{CompiledFormula, DeltaSolver, ExhaustionReason, SatResult, SolverStats};
+use nncps_deltasat::{CompilationCache, DeltaSolver, ExhaustionReason, SatResult, SolverStats};
 use nncps_linalg::{Matrix, Vector};
 
 use crate::{GeneratorFunction, QueryBuilder, SafetySpec};
@@ -94,55 +94,25 @@ impl LevelSetSelector {
         }
     }
 
-    /// Runs the full selection: bracket, then bisection confirmed by the SMT
-    /// queries (6) and (7).
-    pub fn select(
-        &self,
-        generator: &GeneratorFunction,
-        spec: &SafetySpec,
-        queries: &QueryBuilder<'_>,
-        solver: &DeltaSolver,
-    ) -> LevelSetResult {
-        self.select_with_stats(generator, spec, queries, solver).0
-    }
-
-    /// Like [`LevelSetSelector::select`], but also returns the accumulated
-    /// δ-SAT search statistics of all confirmation queries (6) and (7), so
-    /// the pipeline can surface the total solver effort in its run report.
-    pub fn select_with_stats(
-        &self,
-        generator: &GeneratorFunction,
-        spec: &SafetySpec,
-        queries: &QueryBuilder<'_>,
-        solver: &DeltaSolver,
-    ) -> (LevelSetResult, SolverStats) {
-        self.select_with_cache(generator, spec, queries, solver, None)
-    }
-
-    /// Like [`LevelSetSelector::select_with_stats`], but compiles the
-    /// confirmation queries through a
-    /// [`CompilationCache`](nncps_deltasat::CompilationCache) when one is given
-    /// — a family sweep re-confirms structurally identical levels across
-    /// members, and the cached artifacts solve bit-identically to fresh
-    /// compilations.
+    /// Runs the full selection — bracket, then bisection confirmed by the
+    /// SMT queries (6) and (7) — and returns the result together with the
+    /// accumulated δ-SAT search statistics of every confirmation query.
+    ///
+    /// The confirmation queries compile through `cache` when one is given
+    /// (a family sweep re-confirms structurally identical levels across
+    /// members, and cached artifacts solve bit-identically to fresh
+    /// compilations); with `None` they compile through a fresh local
+    /// [`CompilationCache`], so there is one compile path either way.
     pub fn select_with_cache(
         &self,
         generator: &GeneratorFunction,
         spec: &SafetySpec,
         queries: &QueryBuilder<'_>,
         solver: &DeltaSolver,
-        cache: Option<&nncps_deltasat::CompilationCache>,
+        cache: Option<&CompilationCache>,
     ) -> (LevelSetResult, SolverStats) {
-        let compile = |formula: &nncps_deltasat::Formula| match cache {
-            Some(cache) => cache.compile(formula),
-            None => {
-                let compiled = CompiledFormula::compile(formula);
-                // Gradient bundles (for the solver's derivative-guided cuts)
-                // of the quadratic W are tiny; build them with the tape.
-                compiled.ensure_gradients();
-                std::sync::Arc::new(compiled)
-            }
-        };
+        let local = CompilationCache::new();
+        let cache = cache.unwrap_or(&local);
         let mut stats = SolverStats::default();
         let Some((mut low, mut high)) = self.bracket(generator, spec) else {
             return (
@@ -173,7 +143,7 @@ impl LevelSetSelector {
             // Both confirmation queries are compiled to evaluation tapes
             // before solving, like every other query the pipeline issues.
             let (q6, x0_domain) = queries.initial_containment_query(generator, level);
-            let q6 = compile(&q6);
+            let q6 = cache.compile(&q6);
             let (q6_result, q6_stats) = solver.solve_compiled_with_stats(&q6, &x0_domain);
             stats.merge(&q6_stats);
             if let Some(reason) = governed_exhaustion(&q6_result) {
@@ -201,7 +171,7 @@ impl LevelSetSelector {
                     stats,
                 );
             };
-            let q7 = compile(&q7);
+            let q7 = cache.compile(&q7);
             let (q7_result, q7_stats) = solver.solve_compiled_with_stats(&q7, &unsafe_domain);
             stats.merge(&q7_stats);
             if let Some(reason) = governed_exhaustion(&q7_result) {
@@ -348,7 +318,8 @@ mod tests {
         let queries = QueryBuilder::new(&system, 1e-6);
         let solver = DeltaSolver::new(1e-3);
         let selector = LevelSetSelector::default();
-        let result = selector.select(&circle(), system.spec(), &queries, &solver);
+        let (result, _) =
+            selector.select_with_cache(&circle(), system.spec(), &queries, &solver, None);
         match result {
             LevelSetResult::Found { level, iterations } => {
                 assert!(level > 0.5 && level < 9.0, "level {level}");
@@ -366,7 +337,8 @@ mod tests {
         budget.cancel();
         let solver = DeltaSolver::new(1e-3).with_budget(budget);
         let selector = LevelSetSelector::default();
-        let result = selector.select(&circle(), system.spec(), &queries, &solver);
+        let (result, _) =
+            selector.select_with_cache(&circle(), system.spec(), &queries, &solver, None);
         match result {
             LevelSetResult::NotFound { reason, iterations } => {
                 assert!(reason.contains("cancelled"), "{reason}");
@@ -385,7 +357,8 @@ mod tests {
         let solver =
             DeltaSolver::new(1e-3).with_budget(nncps_deltasat::Budget::unlimited().with_fuel(10));
         let selector = LevelSetSelector::default();
-        let result = selector.select(&circle(), system.spec(), &queries, &solver);
+        let (result, _) =
+            selector.select_with_cache(&circle(), system.spec(), &queries, &solver, None);
         match result {
             LevelSetResult::NotFound { reason, iterations } => {
                 assert!(reason.contains("fuel budget"), "{reason}");
@@ -403,7 +376,8 @@ mod tests {
         let selector = LevelSetSelector::new(5);
         let shifted =
             GeneratorFunction::new(Matrix::identity(2), Vector::from_slice(&[-8.0, 0.0]), 0.0);
-        let result = selector.select(&shifted, system.spec(), &queries, &solver);
+        let (result, _) =
+            selector.select_with_cache(&shifted, system.spec(), &queries, &solver, None);
         assert!(matches!(result, LevelSetResult::NotFound { .. }));
         assert_eq!(result.level(), None);
     }

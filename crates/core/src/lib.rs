@@ -35,8 +35,8 @@
 //! [`VerificationSession::verify`] takes a [`VerificationRequest`]
 //! (system + config + budget) and returns a
 //! [`VerificationOutcome`]; the session owns every cache that outlives a
-//! single request (warm-start memo layers, a whole-outcome memo, and an
-//! optional on-disk [`DiskStore`]).
+//! single request (in-memory warm-start memo layers, a whole-outcome memo,
+//! and an optional on-disk [`DiskStore`] of outcomes).
 //!
 //! # Examples
 //!
@@ -79,7 +79,7 @@ pub use certificate::BarrierCertificate;
 pub use level_set::{LevelSetResult, LevelSetSelector};
 pub use pipeline::{
     ConfigError, StageTimings, VerificationConfig, VerificationConfigBuilder, VerificationOutcome,
-    VerificationStats, Verifier,
+    VerificationStats,
 };
 pub use queries::QueryBuilder;
 pub use session::{SessionStats, VerificationRequest, VerificationSession};

@@ -1,12 +1,12 @@
 //! The end-to-end verification procedure of Figure 1.
 
+use std::convert::Infallible;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nncps_deltasat::{Budget, DeltaSolver, ExhaustionReason, SatResult, SolverStats};
 use nncps_expr::{Fingerprint, StructuralHasher};
-use nncps_sim::{Integrator, Simulator, Trace};
+use nncps_sim::{Integrator, Simulator};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -397,336 +397,271 @@ impl fmt::Display for VerificationOutcome {
     }
 }
 
-/// The simulation-guided barrier-certificate verifier (Figure 1 of the paper).
+/// The pipeline engine: the full procedure of Figure 1 (simulate, LP,
+/// δ-SAT decrease check, level set) over a [`WarmStart`] and under a
+/// resource [`Budget`].
 ///
-/// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone)]
-pub struct Verifier {
-    config: VerificationConfig,
-}
+/// This is deliberately *not* public — the one public entry point is
+/// [`VerificationSession::verify`](crate::VerificationSession::verify),
+/// which wraps this engine with the outcome memo, the disk store, and the
+/// memo-safety rules.  There is one path: a cold request passes a fresh,
+/// empty warm start, so every lookup misses and runs the same builder a
+/// shared instance runs.  The behavioural contracts the session relies on:
+///
+/// * **Warm ≡ cold, bit for bit.**  Compiled δ-SAT queries, seed-trace
+///   bundles, and LP candidates are looked up under structural identity
+///   keys before being recomputed; every reused artifact is bit-identical
+///   to recomputation (see the [`warmstart`](crate::warmstart) module
+///   docs), so verdicts, certificate bits, witnesses, and solver statistics
+///   are identical over a shared and over a fresh warm start.  Only
+///   wall-clock timings differ.
+/// * **Cooperative governance.**  Every stage polls the budget at its loop
+///   head — the seed-trace batch, the candidate LP/SMT loop, the δ-SAT
+///   searches themselves, and the level-set bisection — and a tripped
+///   budget degrades the run to [`VerificationOutcome::Inconclusive`] with
+///   the machine-readable reason in [`VerificationStats::exhaustion`].  A
+///   fuel limit is deterministic (fuel counts tape instructions, and the
+///   solver forces its sequential search path under fuel); deadlines and
+///   cancellation are inherently non-deterministic and are excluded from
+///   pinned report forms.  An untripped budget never changes the outcome.
+/// * **Governed builds publish nothing.**  The seed-trace batch runs under
+///   the budget; when the budget trips mid-batch the partial traces are
+///   dropped and nothing is published to the warm start, so a later
+///   request never reuses a truncated bundle.
+pub(crate) fn run(
+    cfg: &VerificationConfig,
+    system: &ClosedLoopSystem,
+    warm: &WarmStart,
+    budget: &Budget,
+) -> VerificationOutcome {
+    let start = Instant::now();
+    let mut stats = VerificationStats::default();
 
-impl Verifier {
-    /// Creates a verifier with the given configuration.
-    pub fn new(config: VerificationConfig) -> Self {
-        Verifier { config }
-    }
+    let spec = system.spec().clone();
+    let dynamics = system.dynamics();
+    let simulator = Simulator::new(Integrator::RungeKutta4, cfg.sim_dt, cfg.sim_duration);
+    let solver = DeltaSolver::new(cfg.delta)
+        .with_max_boxes(cfg.max_smt_boxes)
+        .with_threads(cfg.smt_threads)
+        .with_budget(budget.clone());
+    let queries = QueryBuilder::new(system, cfg.gamma);
+    let mut synthesizer = CandidateSynthesizer::with_options(spec.clone(), cfg.synthesis);
 
-    /// The configuration in use.
-    pub fn config(&self) -> &VerificationConfig {
-        &self.config
-    }
-
-    /// The pipeline engine: the full procedure of Figure 1 over an optional
-    /// [`WarmStart`] and under a resource [`Budget`].
-    ///
-    /// This is deliberately *not* public — the one public entry point is
-    /// [`VerificationSession::verify`](crate::VerificationSession::verify),
-    /// which wraps this engine with the outcome memo, the disk store, and
-    /// the memo-safety rules.  The behavioural contracts the session relies
-    /// on:
-    ///
-    /// * **Warm ≡ cold, bit for bit.**  With a warm-start handle, compiled
-    ///   δ-SAT queries, seed-trace bundles, and LP candidates are looked up
-    ///   under structural identity keys before being recomputed; every
-    ///   reused artifact is bit-identical to recomputation (see the
-    ///   [`warmstart`](crate::warmstart) module docs), so verdicts,
-    ///   certificate bits, witnesses, and solver statistics are identical
-    ///   to `warm == None`.  Only wall-clock timings differ.
-    /// * **Cooperative governance.**  Every stage polls the budget at its
-    ///   loop head — the seed-trace batch, the candidate LP/SMT loop, the
-    ///   δ-SAT searches themselves, and the level-set bisection — and a
-    ///   tripped budget degrades the run to
-    ///   [`VerificationOutcome::Inconclusive`] with the machine-readable
-    ///   reason in [`VerificationStats::exhaustion`].  A fuel limit is
-    ///   deterministic (fuel counts tape instructions, and the solver
-    ///   forces its sequential search path under fuel); deadlines and
-    ///   cancellation are inherently non-deterministic and are excluded
-    ///   from pinned report forms.  An untripped budget never changes the
-    ///   outcome.
-    /// * **Memoized bundles are built ungoverned** — a tripped budget can
-    ///   never publish a truncated trace bundle that a sibling member would
-    ///   then silently reuse; governance is enforced by polling between
-    ///   stages on the warm path.
-    pub(crate) fn run(
-        &self,
-        system: &ClosedLoopSystem,
-        warm: Option<&WarmStart>,
-        budget: &Budget,
-    ) -> VerificationOutcome {
-        let start = Instant::now();
-        let mut stats = VerificationStats::default();
-        let cfg = &self.config;
-
-        let spec = system.spec().clone();
-        let dynamics = system.dynamics();
-        let simulator = Simulator::new(Integrator::RungeKutta4, cfg.sim_dt, cfg.sim_duration);
-        let solver = DeltaSolver::new(cfg.delta)
-            .with_max_boxes(cfg.max_smt_boxes)
-            .with_threads(cfg.smt_threads)
-            .with_budget(budget.clone());
-        let queries = QueryBuilder::new(system, cfg.gamma);
-        let mut synthesizer = CandidateSynthesizer::with_options(spec.clone(), cfg.synthesis);
-
-        // Identity of everything the simulation bundles depend on: the
-        // dynamics DAG plus the integrator settings.  Computed once per run,
-        // only when a warm-start handle can use it.
-        let domain = spec.domain().clone();
-        let sim_key_base = warm.map(|_| {
-            let mut hasher = StructuralHasher::new();
-            hasher.write_u8(0x20);
-            for component in system.vector_field() {
-                hasher.write_expr(component);
-            }
-            hasher.write_usize(domain.dim());
-            for interval in domain.iter() {
-                hasher.write_f64(interval.lo());
-                hasher.write_f64(interval.hi());
-            }
-            hasher.write_f64(cfg.sim_dt);
-            hasher.write_f64(cfg.sim_duration);
-            hasher.write_usize(cfg.max_samples_per_trace);
-            hasher
-        });
-
-        // --- Seed traces Φs -------------------------------------------------
-        // The initial states are drawn sequentially from the seeded RNG (so
-        // runs stay reproducible), then the embarrassingly parallel batch of
-        // closed-loop simulations fans out over the worker threads.  The
-        // downsampled bundle is a pure function of the warm-start key, so a
-        // sweep computes it once per distinct (dynamics, domain, seed,
-        // integrator) combination.
-        let sim_start = Instant::now();
-        let initial_states: Vec<Vec<f64>> = {
-            let mut rng = seeded_rng(cfg.seed);
-            (0..cfg.num_seed_traces)
-                .map(|_| {
-                    let unit: Vec<f64> = (0..domain.dim()).map(|_| rng.gen::<f64>()).collect();
-                    domain.lerp_point(&unit)
-                })
-                .collect()
-        };
-        let simulate_seed_traces = || {
-            simulator
-                .simulate_until_batch(
-                    &dynamics,
-                    &initial_states,
-                    |_, s| !domain.contains_point(s),
-                    cfg.threads,
-                )
-                .iter()
-                .map(|trace| trace.downsampled(cfg.max_samples_per_trace))
-                .collect()
-        };
-        let seed_traces: Arc<Vec<Trace>> = match (warm, &sim_key_base) {
-            (Some(warm), Some(base)) => {
-                // Memoized bundles are built ungoverned (see the method
-                // docs); the budget is polled right after the stage instead.
-                let key = seed_trace_key(base, cfg.seed, cfg.num_seed_traces);
-                warm.traces_or_insert(key, simulate_seed_traces)
-            }
-            _ => {
-                // Cold path: the governed batch stops every in-flight trace
-                // at its next step head once the budget trips.  Untripped,
-                // it is bit-identical to the ungoverned batch.
-                match simulator.simulate_until_batch_governed(
-                    &dynamics,
-                    &initial_states,
-                    |_, s| !domain.contains_point(s),
-                    cfg.threads,
-                    budget,
-                ) {
-                    Ok(traces) => Arc::new(
-                        traces
-                            .iter()
-                            .map(|trace| trace.downsampled(cfg.max_samples_per_trace))
-                            .collect(),
-                    ),
-                    Err(reason) => {
-                        stats.timings.simulation += sim_start.elapsed();
-                        stats.timings.total = start.elapsed();
-                        stats.exhaustion = Some(reason);
-                        return VerificationOutcome::Inconclusive {
-                            reason: format!("verification stopped: {reason}"),
-                            stats,
-                        };
-                    }
-                }
-            }
-        };
-        for trace in seed_traces.iter() {
-            synthesizer.add_trace(trace);
+    // Identity of everything the simulation bundles depend on: the
+    // dynamics DAG plus the integrator settings.  Computed once per run.
+    let domain = spec.domain().clone();
+    let sim_key_base = {
+        let mut hasher = StructuralHasher::new();
+        hasher.write_u8(0x20);
+        for component in system.vector_field() {
+            hasher.write_expr(component);
         }
-        stats.timings.simulation += sim_start.elapsed();
+        hasher.write_usize(domain.dim());
+        for interval in domain.iter() {
+            hasher.write_f64(interval.lo());
+            hasher.write_f64(interval.hi());
+        }
+        hasher.write_f64(cfg.sim_dt);
+        hasher.write_f64(cfg.sim_duration);
+        hasher.write_usize(cfg.max_samples_per_trace);
+        hasher
+    };
+
+    // --- Seed traces Φs -------------------------------------------------
+    // The initial states are drawn sequentially from the seeded RNG (so
+    // runs stay reproducible), then the embarrassingly parallel batch of
+    // closed-loop simulations fans out over the worker threads.  The
+    // downsampled bundle is a pure function of the warm-start key, so a
+    // sweep computes it once per distinct (dynamics, domain, seed,
+    // integrator) combination.
+    let sim_start = Instant::now();
+    let initial_states: Vec<Vec<f64>> = {
+        let mut rng = seeded_rng(cfg.seed);
+        (0..cfg.num_seed_traces)
+            .map(|_| {
+                let unit: Vec<f64> = (0..domain.dim()).map(|_| rng.gen::<f64>()).collect();
+                domain.lerp_point(&unit)
+            })
+            .collect()
+    };
+    // The governed batch stops every in-flight trace at its next step head
+    // once the budget trips and then publishes nothing.  Untripped, it is
+    // bit-identical to the ungoverned batch.
+    let key = seed_trace_key(&sim_key_base, cfg.seed, cfg.num_seed_traces);
+    let seed_traces = warm.traces_or_insert(key, || {
+        simulator
+            .simulate_until_batch_governed(
+                &dynamics,
+                &initial_states,
+                |_, s| !domain.contains_point(s),
+                cfg.threads,
+                budget,
+            )
+            .map(|traces| {
+                traces
+                    .iter()
+                    .map(|trace| trace.downsampled(cfg.max_samples_per_trace))
+                    .collect()
+            })
+    });
+    let seed_traces = match seed_traces {
+        Ok(traces) => traces,
+        Err(reason) => {
+            stats.timings.simulation += sim_start.elapsed();
+            return stopped(stats, start, reason);
+        }
+    };
+    for trace in seed_traces.iter() {
+        synthesizer.add_trace(trace);
+    }
+    stats.timings.simulation += sim_start.elapsed();
+    if let Some(reason) = budget.check() {
+        return stopped(stats, start, reason);
+    }
+
+    // --- Candidate loop: LP + decrease check (5) ------------------------
+    let mut certified_generator = None;
+    for iteration in 1..=cfg.max_candidate_iterations {
+        // Cooperative governance poll at the candidate loop head;
+        // `generator_iterations` still counts only iterations that
+        // actually started.
         if let Some(reason) = budget.check() {
-            stats.timings.total = start.elapsed();
-            stats.exhaustion = Some(reason);
-            return VerificationOutcome::Inconclusive {
-                reason: format!("verification stopped: {reason}"),
-                stats,
-            };
+            return stopped(stats, start, reason);
         }
+        stats.generator_iterations = iteration;
 
-        // --- Candidate loop: LP + decrease check (5) ------------------------
-        let mut certified_generator = None;
-        for iteration in 1..=cfg.max_candidate_iterations {
-            // Cooperative governance poll at the candidate loop head;
-            // `generator_iterations` still counts only iterations that
-            // actually started.
-            if let Some(reason) = budget.check() {
+        // The synthesizer state (options, spec, accumulated rows) fully
+        // determines the LP solution, so a sweep solves each distinct
+        // state once.
+        let lp_start = Instant::now();
+        let candidate = (*warm
+            .candidate_or_insert(synthesizer.fingerprint(), || synthesizer.synthesize()))
+        .clone();
+        stats.timings.lp += lp_start.elapsed();
+        stats.lp_solves += 1;
+        let candidate = match candidate {
+            Ok(candidate) => candidate,
+            Err(err) => {
                 stats.timings.total = start.elapsed();
-                stats.exhaustion = Some(reason);
                 return VerificationOutcome::Inconclusive {
-                    reason: format!("verification stopped: {reason}"),
+                    reason: format!("candidate synthesis failed: {err}"),
                     stats,
                 };
             }
-            stats.generator_iterations = iteration;
-
-            // The synthesizer state (options, spec, accumulated rows) fully
-            // determines the LP solution, so a sweep solves each distinct
-            // state once.
-            let lp_start = Instant::now();
-            let candidate = match warm {
-                Some(warm) => {
-                    let memo = warm.candidate_or_insert(synthesizer.fingerprint(), || {
-                        synthesizer.synthesize()
-                    });
-                    (*memo).clone()
-                }
-                None => synthesizer.synthesize(),
-            };
-            stats.timings.lp += lp_start.elapsed();
-            stats.lp_solves += 1;
-            let candidate = match candidate {
-                Ok(candidate) => candidate,
-                Err(err) => {
-                    stats.timings.total = start.elapsed();
-                    return VerificationOutcome::Inconclusive {
-                        reason: format!("candidate synthesis failed: {err}"),
-                        stats,
-                    };
-                }
-            };
-
-            // Compile the query to evaluation tapes *before* the timed SMT
-            // section: the solver's branch-and-prune loop then runs on the
-            // pre-lowered clauses without per-solve setup.  Under warm
-            // start, structurally identical decrease queries (same candidate
-            // bits over the same closed loop) reuse one compilation.
-            let (compiled_query, query_domain) = match warm {
-                Some(warm) => {
-                    let (formula, domain) = queries.decrease_query(&candidate);
-                    (warm.compilation().compile(&formula), domain)
-                }
-                None => {
-                    let (compiled, domain) = queries.compiled_decrease_query(&candidate);
-                    (Arc::new(compiled), domain)
-                }
-            };
-            let smt_start = Instant::now();
-            let (result, solve_stats) =
-                solver.solve_compiled_with_stats(&compiled_query, &query_domain);
-            stats.timings.smt_decrease += smt_start.elapsed();
-            stats.smt_decrease_checks += 1;
-            stats.solver.merge(&solve_stats);
-
-            match result {
-                SatResult::Unsat => {
-                    certified_generator = Some(candidate);
-                    break;
-                }
-                SatResult::DeltaSat(witness_box) => {
-                    stats.counterexamples += 1;
-                    let witness = witness_box.midpoint();
-                    stats.counterexample_witnesses.push(witness.clone());
-                    stats
-                        .counterexample_candidates
-                        .push(flatten_generator(&candidate));
-                    // Cut the failing candidate out of the LP feasible set by
-                    // requiring the Lie derivative to decrease at the witness
-                    // (the row is linear in the template coefficients).
-                    let derivative = system.derivative(&witness);
-                    synthesizer.add_counterexample(&witness, &derivative, cfg.gamma.max(1e-9));
-                    // Simulate from the counterexample (Φf) and refine the LP
-                    // with the downstream behaviour as well.
-                    let sim_start = Instant::now();
-                    let simulate_witness_trace = || {
-                        vec![simulator
-                            .simulate_until(&dynamics, &witness, |_, s| !domain.contains_point(s))
-                            .downsampled(cfg.max_samples_per_trace)]
-                    };
-                    let witness_traces = match (warm, &sim_key_base) {
-                        (Some(warm), Some(base)) => {
-                            let key = witness_trace_key(base, &witness);
-                            warm.traces_or_insert(key, simulate_witness_trace)
-                        }
-                        _ => Arc::new(simulate_witness_trace()),
-                    };
-                    stats.timings.simulation += sim_start.elapsed();
-                    synthesizer.add_trace(&witness_traces[0]);
-                }
-                SatResult::Unknown(reason) => {
-                    stats.timings.total = start.elapsed();
-                    stats.exhaustion = Some(reason);
-                    return VerificationOutcome::Inconclusive {
-                        reason: format!("decrease check inconclusive: {reason}"),
-                        stats,
-                    };
-                }
-            }
-        }
-
-        let Some(generator) = certified_generator else {
-            stats.timings.total = start.elapsed();
-            return VerificationOutcome::Inconclusive {
-                reason: format!(
-                    "no generator function passed the decrease check within {} iterations",
-                    cfg.max_candidate_iterations
-                ),
-                stats,
-            };
         };
 
-        // --- Level-set selection: queries (6) and (7) ------------------------
-        let level_start = Instant::now();
-        let selector = LevelSetSelector::new(cfg.max_level_iterations);
-        let (level_result, level_stats) = selector.select_with_cache(
-            &generator,
-            &spec,
-            &queries,
-            &solver,
-            warm.map(WarmStart::compilation),
-        );
-        stats.solver.merge(&level_stats);
-        stats.timings.level_set = level_start.elapsed();
+        // Compile the query to evaluation tapes *before* the timed SMT
+        // section: the solver's branch-and-prune loop then runs on the
+        // pre-lowered clauses without per-solve setup.  Structurally
+        // identical decrease queries (same candidate bits over the same
+        // closed loop) reuse one compilation.
+        let (formula, query_domain) = queries.decrease_query(&candidate);
+        let compiled_query = warm.compilation().compile(&formula);
+        let smt_start = Instant::now();
+        let (result, solve_stats) =
+            solver.solve_compiled_with_stats(&compiled_query, &query_domain);
+        stats.timings.smt_decrease += smt_start.elapsed();
+        stats.smt_decrease_checks += 1;
+        stats.solver.merge(&solve_stats);
 
-        stats.timings.total = start.elapsed();
-        match level_result {
-            LevelSetResult::Found { level, iterations } => {
-                stats.level_iterations = iterations;
-                VerificationOutcome::Certified {
-                    certificate: BarrierCertificate::new(generator, level),
-                    stats,
-                }
+        match result {
+            SatResult::Unsat => {
+                certified_generator = Some(candidate);
+                break;
             }
-            LevelSetResult::NotFound { reason, iterations } => {
-                stats.level_iterations = iterations;
-                // A budget that tripped during the level search surfaces as
-                // a NotFound; record the machine-readable reason alongside
-                // the prose (an untripped budget leaves this `None`).
-                stats.exhaustion = budget.check();
-                VerificationOutcome::Inconclusive {
-                    reason: format!("level-set selection failed: {reason}"),
+            SatResult::DeltaSat(witness_box) => {
+                stats.counterexamples += 1;
+                let witness = witness_box.midpoint();
+                stats.counterexample_witnesses.push(witness.clone());
+                stats
+                    .counterexample_candidates
+                    .push(flatten_generator(&candidate));
+                // Cut the failing candidate out of the LP feasible set by
+                // requiring the Lie derivative to decrease at the witness
+                // (the row is linear in the template coefficients).
+                let derivative = system.derivative(&witness);
+                synthesizer.add_counterexample(&witness, &derivative, cfg.gamma.max(1e-9));
+                // Simulate from the counterexample (Φf) and refine the LP
+                // with the downstream behaviour as well.
+                let sim_start = Instant::now();
+                let key = witness_trace_key(&sim_key_base, &witness);
+                let Ok(witness_traces) = warm.traces_or_insert(key, || {
+                    Ok::<_, Infallible>(vec![simulator
+                        .simulate_until(&dynamics, &witness, |_, s| !domain.contains_point(s))
+                        .downsampled(cfg.max_samples_per_trace)])
+                });
+                stats.timings.simulation += sim_start.elapsed();
+                synthesizer.add_trace(&witness_traces[0]);
+            }
+            SatResult::Unknown(reason) => {
+                stats.timings.total = start.elapsed();
+                stats.exhaustion = Some(reason);
+                return VerificationOutcome::Inconclusive {
+                    reason: format!("decrease check inconclusive: {reason}"),
                     stats,
-                }
+                };
+            }
+        }
+    }
+
+    let Some(generator) = certified_generator else {
+        stats.timings.total = start.elapsed();
+        return VerificationOutcome::Inconclusive {
+            reason: format!(
+                "no generator function passed the decrease check within {} iterations",
+                cfg.max_candidate_iterations
+            ),
+            stats,
+        };
+    };
+
+    // --- Level-set selection: queries (6) and (7) ------------------------
+    let level_start = Instant::now();
+    let selector = LevelSetSelector::new(cfg.max_level_iterations);
+    let (level_result, level_stats) = selector.select_with_cache(
+        &generator,
+        &spec,
+        &queries,
+        &solver,
+        Some(warm.compilation()),
+    );
+    stats.solver.merge(&level_stats);
+    stats.timings.level_set = level_start.elapsed();
+
+    stats.timings.total = start.elapsed();
+    match level_result {
+        LevelSetResult::Found { level, iterations } => {
+            stats.level_iterations = iterations;
+            VerificationOutcome::Certified {
+                certificate: BarrierCertificate::new(generator, level),
+                stats,
+            }
+        }
+        LevelSetResult::NotFound { reason, iterations } => {
+            stats.level_iterations = iterations;
+            // A budget that tripped during the level search surfaces as a
+            // NotFound; record the machine-readable reason alongside the
+            // prose (an untripped budget leaves this `None`).
+            stats.exhaustion = budget.check();
+            VerificationOutcome::Inconclusive {
+                reason: format!("level-set selection failed: {reason}"),
+                stats,
             }
         }
     }
 }
 
-impl Default for Verifier {
-    fn default() -> Self {
-        Verifier::new(VerificationConfig::default())
+/// The inconclusive outcome of a run whose budget tripped between stages.
+fn stopped(
+    mut stats: VerificationStats,
+    start: Instant,
+    reason: ExhaustionReason,
+) -> VerificationOutcome {
+    stats.timings.total = start.elapsed();
+    stats.exhaustion = Some(reason);
+    VerificationOutcome::Inconclusive {
+        reason: format!("verification stopped: {reason}"),
+        stats,
     }
 }
 
@@ -1046,12 +981,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("delta"), "{err}");
-    }
-
-    #[test]
-    fn config_accessors() {
-        let verifier = Verifier::default();
-        assert_eq!(verifier.config().gamma, 1e-6);
-        assert_eq!(verifier.config().num_seed_traces, 20);
     }
 }

@@ -1,19 +1,20 @@
-//! The unified request/session verification API.
-//!
-//! Earlier revisions grew a cross-product of `Verifier::verify_*` methods
-//! (plain × warm-start × governed × dynamics source).  This module collapses
-//! them into one path:
+//! The unified request/session verification API: one path for every
+//! verification, whatever its caching, governance, or dynamics source.
 //!
 //! * [`VerificationRequest`] — a builder bundling *what* to verify (a
 //!   [`ClosedLoopSystem`], borrowed or built from any symbolic plant) with
 //!   *how* (a [`VerificationConfig`], a resource [`Budget`], and whether
 //!   session caches may be consulted).
 //! * [`VerificationSession`] — owns the caches that outlive a single
-//!   request: the [`WarmStart`] memo layers (compiled δ-SAT queries,
-//!   seed-trace bundles, LP candidates), a whole-outcome memo, and an
-//!   optional on-disk [`DiskStore`] that extends all of it across
-//!   *processes*.  [`VerificationSession::verify`] is the **only** public
-//!   verify entry point.
+//!   request: the in-memory [`WarmStart`] memo layers (compiled δ-SAT
+//!   queries, seed-trace bundles, LP candidates), a whole-outcome memo, and
+//!   an optional on-disk [`DiskStore`] that extends the *outcome* memo
+//!   across processes.  [`VerificationSession::verify`] is the **only**
+//!   public verify entry point.
+//!
+//! Every request runs the same pipeline over a warm start: a cacheable
+//! request over the session's shared one, a [`cold`](VerificationRequest::cold)
+//! request over a fresh, empty one that is dropped afterwards.
 //!
 //! # Key discipline
 //!
@@ -63,12 +64,12 @@ use nncps_expr::{Fingerprint, StructuralHasher};
 use nncps_linalg::{Matrix, Vector};
 use nncps_sim::SymbolicDynamics;
 
-use crate::pipeline::{StageTimings, VerificationStats};
+use crate::pipeline::{run, StageTimings, VerificationStats};
 use crate::store::{DiskStore, PayloadReader, PayloadWriter};
 use crate::warmstart::WarmStartStats;
 use crate::{
     BarrierCertificate, ClosedLoopSystem, GeneratorFunction, SafetySpec, VerificationConfig,
-    VerificationOutcome, Verifier, WarmStart,
+    VerificationOutcome, WarmStart,
 };
 
 /// One verification problem plus everything governing how it runs.
@@ -129,9 +130,9 @@ impl<'a> VerificationRequest<'a> {
         self
     }
 
-    /// Disables every session cache for this request: the run is executed
-    /// from scratch and its outcome is not recorded.  The differential
-    /// tests use this to pin warm ≡ cold bit-identity.
+    /// Disables every session cache for this request: the run executes over
+    /// a fresh, empty warm start and its outcome is not recorded.  The
+    /// differential tests use this to pin warm ≡ cold bit-identity.
     pub fn cold(mut self) -> Self {
         self.reuse = false;
         self
@@ -238,13 +239,14 @@ pub struct SessionStats {
 }
 
 /// Long-lived verification state: warm-start memo layers, a whole-outcome
-/// memo, and an optional on-disk store (see the [module docs](self)).
+/// memo, and an optional on-disk outcome store (see the [module
+/// docs](self)).
 ///
 /// The session is `Sync`; a sweep or server shares one instance across its
 /// workers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct VerificationSession {
-    warm: Arc<WarmStart>,
+    warm: WarmStart,
     outcomes: Mutex<HashMap<Fingerprint, Arc<VerificationOutcome>>>,
     store: Option<Arc<DiskStore>>,
     outcome_hits: AtomicUsize,
@@ -252,42 +254,20 @@ pub struct VerificationSession {
     disk_outcome_hits: AtomicUsize,
 }
 
-impl Default for VerificationSession {
-    fn default() -> Self {
-        VerificationSession::new()
-    }
-}
-
 impl VerificationSession {
     /// A session with in-memory caches only.
     pub fn new() -> Self {
-        VerificationSession {
-            warm: Arc::new(WarmStart::new()),
-            outcomes: Mutex::new(HashMap::new()),
-            store: None,
-            outcome_hits: AtomicUsize::new(0),
-            outcome_misses: AtomicUsize::new(0),
-            disk_outcome_hits: AtomicUsize::new(0),
-        }
+        VerificationSession::default()
     }
 
-    /// A session whose caches are additionally backed by an on-disk
-    /// content-addressed store: outcomes, seed-trace bundles, and LP
-    /// candidates persist across processes.
+    /// A session whose outcome memo is additionally backed by an on-disk
+    /// content-addressed store, so outcomes persist across processes.  The
+    /// warm-start layers stay in memory.
     pub fn with_store(store: Arc<DiskStore>) -> Self {
         VerificationSession {
-            warm: Arc::new(WarmStart::with_store(Arc::clone(&store))),
-            outcomes: Mutex::new(HashMap::new()),
             store: Some(store),
-            outcome_hits: AtomicUsize::new(0),
-            outcome_misses: AtomicUsize::new(0),
-            disk_outcome_hits: AtomicUsize::new(0),
+            ..VerificationSession::default()
         }
-    }
-
-    /// The warm-start memo layers shared by this session's requests.
-    pub fn warm_start(&self) -> &WarmStart {
-        &self.warm
     }
 
     /// The on-disk store, when this session has one.
@@ -308,27 +288,27 @@ impl VerificationSession {
     /// Runs one verification request — the single public verify entry
     /// point.
     ///
-    /// A cold request runs the pipeline from scratch.  A cacheable request
-    /// first consults the whole-outcome memo, then the on-disk store, and
-    /// only then runs the pipeline over the session's warm-start layers;
-    /// every cached artifact is a pure function of its key, so the returned
-    /// outcome is bit-identical to a cold run (only wall-clock timings in
+    /// A cold request runs the pipeline over a fresh, empty warm start.  A
+    /// cacheable request first consults the whole-outcome memo, then the
+    /// on-disk store, and only then runs the pipeline over the session's
+    /// warm-start layers; every cached artifact is a pure function of its
+    /// key, so the returned outcome is bit-identical to a cold run (only
+    /// wall-clock timings in
     /// [`VerificationStats::timings`](crate::VerificationStats) reflect
     /// whichever run actually executed).
     pub fn verify(&self, request: &VerificationRequest<'_>) -> VerificationOutcome {
-        let verifier = Verifier::new(request.config().clone());
-        let budget = request.budget();
+        let (config, system, budget) = (request.config(), request.system(), request.budget());
         if request.is_cold() {
-            return verifier.run(request.system(), None, budget);
+            return run(config, system, &WarmStart::new(), budget);
         }
         // A deadline or cancellation can trip at a wall-clock-dependent
         // point, and forced exhaustion is fault injection: none of them
         // name a deterministic outcome, so such requests bypass the
-        // outcome memo (the inner warm-start layers stay safe — their
-        // bundles are built ungoverned).
+        // outcome memo (the inner warm-start layers stay safe — a build
+        // that a tripped budget cut short publishes nothing).
         let memoizable = !budget.has_deadline() && !budget.is_cancelled() && !budget.fuel_forced();
         if !memoizable {
-            return verifier.run(request.system(), Some(&self.warm), budget);
+            return run(config, system, &self.warm, budget);
         }
         let key = request.fingerprint();
         if let Some(found) = self
@@ -353,7 +333,7 @@ impl VerificationSession {
             }
         }
         self.outcome_misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = verifier.run(request.system(), Some(&self.warm), budget);
+        let outcome = run(config, system, &self.warm, budget);
         // Outcomes that stopped for a non-deterministic reason (deadline,
         // cancellation mid-run via a cloned handle, box budgets are fine)
         // must not be replayed to later identical requests.
@@ -383,7 +363,7 @@ impl VerificationSession {
 /// travels via its bit pattern, and `GeneratorFunction::new`'s
 /// re-symmetrization `(a + a) / 2` is exact for the already-symmetric
 /// stored matrix.
-pub(crate) fn encode_outcome(outcome: &VerificationOutcome) -> Vec<u8> {
+fn encode_outcome(outcome: &VerificationOutcome) -> Vec<u8> {
     let mut w = PayloadWriter::new();
     match outcome {
         VerificationOutcome::Certified { certificate, stats } => {
@@ -404,7 +384,7 @@ pub(crate) fn encode_outcome(outcome: &VerificationOutcome) -> Vec<u8> {
 /// Inverse of [`encode_outcome`]; `None` on any structural mismatch (the
 /// store then quarantines nothing further — a decode failure is simply a
 /// miss, the entry's checksum already passed).
-pub(crate) fn decode_outcome(bytes: &[u8]) -> Option<VerificationOutcome> {
+fn decode_outcome(bytes: &[u8]) -> Option<VerificationOutcome> {
     let mut r = PayloadReader::new(bytes);
     let outcome = match r.take_u8()? {
         1 => {
@@ -426,7 +406,7 @@ pub(crate) fn decode_outcome(bytes: &[u8]) -> Option<VerificationOutcome> {
     r.is_exhausted().then_some(outcome)
 }
 
-pub(crate) fn encode_generator(w: &mut PayloadWriter, generator: &GeneratorFunction) {
+fn encode_generator(w: &mut PayloadWriter, generator: &GeneratorFunction) {
     let n = generator.dim();
     w.put_usize(n);
     for i in 0..n {
@@ -440,7 +420,7 @@ pub(crate) fn encode_generator(w: &mut PayloadWriter, generator: &GeneratorFunct
     w.put_f64(generator.constant_part());
 }
 
-pub(crate) fn decode_generator(r: &mut PayloadReader<'_>) -> Option<GeneratorFunction> {
+fn decode_generator(r: &mut PayloadReader<'_>) -> Option<GeneratorFunction> {
     let n = r.take_usize()?;
     if n == 0 || n.checked_mul(n)?.checked_mul(8)? > r.remaining() {
         return None;
@@ -655,11 +635,48 @@ mod tests {
         let system = stable_linear_system();
         let session = VerificationSession::new();
         let warm = session.verify(&VerificationRequest::over(&system));
+        let warm_layers = session.stats().warm;
         let cold = session.verify(&VerificationRequest::over(&system).cold());
         assert_outcomes_bit_identical(&warm, &cold);
-        // The cold run left no trace in the counters.
+        // The cold run left no trace in the counters: it ran over a fresh
+        // warm start of its own.
         assert_eq!(session.stats().outcome_hits, 0);
         assert_eq!(session.stats().outcome_misses, 1);
+        assert_eq!(session.stats().warm, warm_layers);
+    }
+
+    #[test]
+    fn a_tripped_budget_publishes_no_seed_bundle() {
+        let system = stable_linear_system();
+        let session = VerificationSession::new();
+        let cancelled = Budget::unlimited();
+        cancelled.cancel();
+        let stopped = session.verify(&VerificationRequest::over(&system).with_budget(cancelled));
+        assert_eq!(
+            stopped.stats().exhaustion,
+            Some(ExhaustionReason::Cancelled)
+        );
+        let after_stop = session.stats().warm;
+        assert_eq!(
+            (after_stop.trace_hits, after_stop.trace_misses),
+            (0, 0),
+            "the cancelled seed-trace build must publish nothing"
+        );
+
+        // The same system, unlimited, in the same session: it builds the
+        // seed bundle itself and matches a cold run bit for bit.
+        let later = session.verify(&VerificationRequest::over(&system));
+        let cold = VerificationSession::new().verify(&VerificationRequest::over(&system).cold());
+        assert!(later.is_certified(), "{later}");
+        assert_outcomes_bit_identical(&later, &cold);
+        let without_timings = |outcome: &VerificationOutcome| VerificationStats {
+            timings: StageTimings::default(),
+            ..outcome.stats().clone()
+        };
+        assert_eq!(without_timings(&later), without_timings(&cold));
+        let warm = session.stats().warm;
+        assert!(warm.trace_misses >= 1, "{warm:?}");
+        assert_eq!(warm.trace_hits, 0, "{warm:?}");
     }
 
     #[test]

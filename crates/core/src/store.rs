@@ -1,17 +1,20 @@
 //! A content-addressed on-disk artifact store keyed by structural
 //! [`Fingerprint`]s.
 //!
-//! The warm-start layers memoize pure functions of 128-bit structural
-//! identity keys; this store extends those memos across *processes*: a
-//! resident verification service (or a sequence of CLI runs pointed at the
-//! same `--store` directory) re-reads yesterday's seed-trace bundles, LP
-//! candidates, and whole verification outcomes instead of recomputing them.
+//! A [`VerificationSession`](crate::VerificationSession) memoizes whole
+//! verification outcomes under 128-bit structural identity keys; this store
+//! extends that memo across *processes*: a resident verification service
+//! (or a sequence of CLI runs pointed at the same `--store` directory)
+//! re-reads yesterday's outcomes instead of recomputing them.  The session
+//! writes one kind, `outcome`; the warm-start layers inside a run stay in
+//! memory.
 //!
 //! The layout is deliberately boring:
 //!
 //! ```text
 //! <root>/
 //!   <kind>/<fingerprint-hex>.bin   # one write-once entry per key
+//!                                  # (the session writes kind `outcome`)
 //!   tmp/                           # staging area for atomic publication
 //!   quarantine/                    # entries that failed validation
 //! ```
@@ -379,16 +382,16 @@ mod tests {
     fn round_trips_and_is_write_once() {
         let store = scratch_store("roundtrip");
         let key = Fingerprint(0xdead_beef, 0x1234_5678);
-        assert_eq!(store.load("traces", key), None);
-        assert!(store.store("traces", key, b"payload-one"));
+        assert_eq!(store.load("outcome", key), None);
+        assert!(store.store("outcome", key, b"payload-one"));
         assert_eq!(
-            store.load("traces", key).as_deref(),
+            store.load("outcome", key).as_deref(),
             Some(&b"payload-one"[..])
         );
         // Second writer skips: first writer wins, contents stay put.
-        assert!(!store.store("traces", key, b"payload-two"));
+        assert!(!store.store("outcome", key, b"payload-two"));
         assert_eq!(
-            store.load("traces", key).as_deref(),
+            store.load("outcome", key).as_deref(),
             Some(&b"payload-one"[..])
         );
         let stats = store.stats();

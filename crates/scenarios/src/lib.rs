@@ -49,10 +49,7 @@ pub use json::{Json, JsonError};
 pub use registry::SMOKE_MANIFEST;
 pub use registry::{builtin_families, families_from_toml_str, Registry};
 pub use report::{BatchReport, CrashedMember, FamilyRollup, RunStats, ScenarioResult};
-pub use runner::{
-    run_batch, run_scenario, run_scenario_cached, run_scenario_governed, run_sweep, BatchOptions,
-    SweepCache, SweepOptions,
-};
+pub use runner::{run_batch, run_scenario, run_sweep, BatchOptions, SweepCache, SweepOptions};
 pub use scenario::{
     pd_controller, pendulum_controller, ExpectedVerdict, ManifestError, PlantSpec, Scenario,
 };

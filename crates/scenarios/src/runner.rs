@@ -1,12 +1,15 @@
 //! The batch runner: the full falsify→verify pipeline over a registry, and
 //! the warm-start sweep engine over scenario families.
+//!
+//! Every scenario runs through one function, [`run_scenario`], over a
+//! [`SweepCache`]: a sweep shares one cache across its members, and a run
+//! without one (a registry batch, a `--cold` sweep) gets a fresh local
+//! cache per member, so every lookup misses and the same code runs.
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use nncps_barrier::{
-    Budget, ClosedLoopSystem, VerificationRequest, VerificationSession, WarmStart,
-};
+use nncps_barrier::{Budget, ClosedLoopSystem, VerificationRequest, VerificationSession};
 use nncps_sim::ExprDynamics;
 
 use crate::family::Family;
@@ -43,11 +46,12 @@ pub struct SweepOptions {
     /// Scenario-level worker threads (same semantics as
     /// [`BatchOptions::threads`]).
     pub threads: usize,
-    /// Whether family members share a [`SweepCache`] (compiled queries,
-    /// simulation bundles, LP candidates, built dynamics).  Reused
-    /// artifacts are bit-identical to recomputation, so this switch changes
-    /// wall-clock time only — the deterministic report is byte-identical
-    /// either way (asserted by `tests/family_warm_start.rs`).
+    /// Whether family members share one [`SweepCache`] (compiled queries,
+    /// simulation bundles, LP candidates, built dynamics) or each member
+    /// runs over a fresh cache of its own.  Reused artifacts are
+    /// bit-identical to recomputation, so this switch changes wall-clock
+    /// time only — the deterministic report is byte-identical either way
+    /// (asserted by `tests/family_warm_start.rs`).
     pub warm_start: bool,
     /// Deterministic per-member fuel limit (same semantics as
     /// [`BatchOptions::fuel`]).
@@ -120,11 +124,6 @@ impl SweepCache {
         &self.session
     }
 
-    /// The verifier-level warm-start state (for hit/miss reporting).
-    pub fn warm_start(&self) -> &WarmStart {
-        self.session.warm_start()
-    }
-
     /// Number of distinct plants whose dynamics were built so far.
     pub fn plants_built(&self) -> usize {
         // A crashed sweep member can leave this mutex poisoned; every entry
@@ -162,59 +161,45 @@ impl SweepCache {
 }
 
 /// Runs one scenario end to end (build the closed loop, run the verifier)
-/// and assembles its report entry.
+/// under a resource [`Budget`] and assembles its report entry.
+///
+/// With a shared [`SweepCache`], dynamics come from its plant cache and the
+/// verifier runs over its session; with `None` the run gets a fresh local
+/// cache, so every lookup misses.  The result is bit-identical either way —
+/// only the wall-time fields differ.  The verifier polls the budget at its
+/// stage boundaries and inner loops, degrading to an inconclusive outcome
+/// with a machine-readable
+/// [`ExhaustionReason`](nncps_barrier::ExhaustionReason) when it trips; an
+/// unlimited budget never changes the result.
 ///
 /// # Examples
 ///
 /// ```
+/// use nncps_barrier::Budget;
 /// use nncps_scenarios::{run_scenario, Registry};
 ///
 /// let registry = Registry::builtin();
-/// let result = run_scenario(registry.get("linear-unstable-canary").unwrap());
+/// let scenario = registry.get("linear-unstable-canary").unwrap();
+/// let result = run_scenario(scenario, None, &Budget::unlimited());
 /// assert_eq!(result.verdict, "inconclusive");
 /// assert!(result.matches_expected);
 /// ```
-pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
-    run_scenario_cached(scenario, None)
-}
-
-/// [`run_scenario`] with an optional shared [`SweepCache`]: dynamics come
-/// from the plant cache and the verifier runs with the sweep's warm-start
-/// state.  The result is bit-identical to the cache-free run; only the
-/// wall-time fields differ.
-pub fn run_scenario_cached(scenario: &Scenario, cache: Option<&SweepCache>) -> ScenarioResult {
-    run_scenario_governed(scenario, cache, &Budget::unlimited())
-}
-
-/// [`run_scenario_cached`] under a resource [`Budget`]: the verifier polls
-/// the budget at its stage boundaries and inner loops, degrading to an
-/// inconclusive outcome with a machine-readable
-/// [`ExhaustionReason`](nncps_barrier::ExhaustionReason) when it trips.  An
-/// unlimited budget leaves the run bit-identical to [`run_scenario_cached`].
-pub fn run_scenario_governed(
+pub fn run_scenario(
     scenario: &Scenario,
     cache: Option<&SweepCache>,
     budget: &Budget,
 ) -> ScenarioResult {
+    let local = SweepCache::new();
+    let cache = cache.unwrap_or(&local);
     let build_start = Instant::now();
-    let system = match cache {
-        Some(cache) => {
-            let dynamics = cache.dynamics_for(scenario.plant());
-            ClosedLoopSystem::from_dynamics(&*dynamics, scenario.spec().clone())
-        }
-        None => scenario.build_system(),
-    };
+    let dynamics = cache.dynamics_for(scenario.plant());
+    let system = ClosedLoopSystem::from_dynamics(&*dynamics, scenario.spec().clone());
     let build_time_s = build_start.elapsed().as_secs_f64();
     let request = VerificationRequest::over(&system)
         .with_config(scenario.config().clone())
         .with_budget(budget.clone());
     let verify_start = Instant::now();
-    let outcome = match cache {
-        Some(cache) => cache.session().verify(&request),
-        // Cache-free runs stay genuinely cold: the pipeline executes from
-        // scratch with no memo layers, exactly as before the session API.
-        None => VerificationSession::new().verify(&request.cold()),
-    };
+    let outcome = cache.session().verify(&request);
     let wall_time_s = verify_start.elapsed().as_secs_f64();
     ScenarioResult::from_outcome(scenario, &outcome, wall_time_s, build_time_s)
 }
@@ -250,7 +235,7 @@ fn partition_outcomes(
 pub fn run_batch(registry: &Registry, options: &BatchOptions) -> BatchReport {
     let scenarios: Vec<Scenario> = registry.iter().cloned().collect();
     let outcomes = nncps_parallel::parallel_map_isolated(&scenarios, options.threads, |scenario| {
-        run_scenario_governed(
+        run_scenario(
             scenario,
             None,
             &member_budget(options.fuel, options.deadline_ms),
@@ -300,7 +285,7 @@ pub fn run_sweep(
     let (scenarios, groups) = expand_families(families)?;
     let cache = options.warm_start.then(SweepCache::new);
     let outcomes = nncps_parallel::parallel_map_isolated(&scenarios, options.threads, |scenario| {
-        run_scenario_governed(
+        run_scenario(
             scenario,
             cache.as_ref(),
             &member_budget(options.fuel, options.deadline_ms),

@@ -24,12 +24,20 @@
 //! {"op": "shutdown"}
 //! ```
 //!
+//! `fuel` and `deadline_ms` are optional; when present, each must be a
+//! non-negative integer no larger than 2^53, or the submit is answered with
+//! a single `error` event naming the field.
+//!
 //! Responses (one or more lines per request; the terminal line of a submit
 //! is its `done` event):
 //!
 //! ```text
 //! {"event": "pong", "protocol": "nncps-serve/v1"}
-//! {"event": "stats", ...cache/store counters...}
+//! {"event": "stats", "threads": n, "requests": n, "members_verified": n,
+//!  "outcome_hits": n, "outcome_misses": n, "disk_outcome_hits": n,
+//!  "trace_hits": n, "candidate_hits": n, "formula_hits": n,
+//!  "store_hits": n, "store_misses": n, "store_writes": n,
+//!  "store_quarantined": n}       # store_* only with an on-disk store
 //! {"event": "member", "index": i, "name": ..., "verdict": ..., ...}
 //! {"event": "crash", "index": i, "name": ..., "payload": ...}
 //! {"event": "done", "members": n, "crashed": n, "report": TEXT,
@@ -57,7 +65,7 @@ use crate::family::Family;
 use crate::json::Json;
 use crate::report::ScenarioResult;
 use crate::runner::{
-    assemble_sweep_report, expand_families, member_budget, run_scenario_governed, SweepCache,
+    assemble_sweep_report, expand_families, member_budget, run_scenario, SweepCache,
 };
 use crate::scenario::Scenario;
 
@@ -238,14 +246,6 @@ impl ServeEngine {
                 "formula_hits".to_string(),
                 Json::from(session.warm.formula_hits),
             ),
-            (
-                "disk_trace_hits".to_string(),
-                Json::from(session.warm.disk_trace_hits),
-            ),
-            (
-                "disk_candidate_hits".to_string(),
-                Json::from(session.warm.disk_candidate_hits),
-            ),
         ];
         if let Some(store) = self.cache.session().store() {
             let stats = store.stats();
@@ -283,11 +283,16 @@ impl ServeEngine {
             emit(&error_event(&format!("no family named `{selection}`")).to_line());
             return;
         }
-        let fuel = request.get("fuel").and_then(Json::as_f64).map(|x| x as u64);
-        let deadline_ms = request
-            .get("deadline_ms")
-            .and_then(Json::as_f64)
-            .map(|x| x as u64);
+        let (fuel, deadline_ms) = match (
+            budget_field(request, "fuel"),
+            budget_field(request, "deadline_ms"),
+        ) {
+            (Ok(fuel), Ok(deadline_ms)) => (fuel, deadline_ms),
+            (Err(message), _) | (_, Err(message)) => {
+                emit(&error_event(&message).to_line());
+                return;
+            }
+        };
         let (scenarios, groups) = match expand_families(&selected) {
             Ok(expanded) => expanded,
             Err(e) => {
@@ -307,8 +312,7 @@ impl ServeEngine {
             let budget = member_budget(fuel, deadline_ms);
             let tx = tx.clone();
             self.pool.spawn(move || {
-                let outcome =
-                    catch_crash(|| run_scenario_governed(&scenario, Some(&cache), &budget));
+                let outcome = catch_crash(|| run_scenario(&scenario, Some(&cache), &budget));
                 // A dropped receiver means the request was abandoned; the
                 // result still landed in the shared caches, so losing the
                 // send is harmless.
@@ -382,6 +386,24 @@ fn member_event(
             ("name".to_string(), Json::from(scenario.name())),
             ("payload".to_string(), Json::from(crash.payload.as_str())),
         ]),
+    }
+}
+
+/// Reads an optional budget field of a `submit` request.  Absent means
+/// unlimited; anything else must be a finite, non-negative integer no
+/// larger than 2^53 (the range a JSON number carries exactly), so a string,
+/// a negative, a fraction, or a huge value is an error naming the field —
+/// never a silently unlimited or altered budget.
+fn budget_field(request: &Json, field: &str) -> Result<Option<u64>, String> {
+    const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    let Some(value) = request.get(field) else {
+        return Ok(None);
+    };
+    match value.as_f64() {
+        Some(x) if (0.0..=MAX_EXACT).contains(&x) && x.fract() == 0.0 => Ok(Some(x as u64)),
+        _ => Err(format!(
+            "`{field}` must be a non-negative integer no larger than 2^53"
+        )),
     }
 }
 
@@ -464,6 +486,35 @@ mod tests {
                 "{bad}"
             );
         }
+        // Budgets are validated, never coerced: a string, a negative, a
+        // fraction, or a value beyond 2^53 is an error naming the field
+        // (and runs no member).
+        for (field, value) in [
+            ("fuel", "\"100\""),
+            ("fuel", "-1"),
+            ("fuel", "1.5"),
+            ("fuel", "1e300"),
+            ("fuel", "1e16"),
+            ("fuel", "null"),
+            ("deadline_ms", "\"250\""),
+            ("deadline_ms", "-1"),
+            ("deadline_ms", "0.5"),
+            ("deadline_ms", "1e300"),
+        ] {
+            let line =
+                format!("{{\"op\": \"submit\", \"family\": \"smoke-pair\", \"{field}\": {value}}}");
+            let (replies, directive) = collect(&engine, &line);
+            assert_eq!(directive, Directive::Continue, "{line}");
+            assert_eq!(replies.len(), 1, "{line}");
+            assert_eq!(
+                replies[0].get("event").and_then(Json::as_str),
+                Some("error"),
+                "{line}"
+            );
+            let message = replies[0].get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(field), "{line}: {message}");
+        }
+        assert_eq!(engine.cache().session().stats().outcome_misses, 0);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use nncps_barrier::{Budget, ExhaustionReason};
 use nncps_fault::{arm, disarm_all, FaultKind, FaultSpec, Trigger};
 use nncps_scenarios::{
-    run_batch, run_scenario_governed, run_sweep, AxisParam, BatchOptions, BatchReport, Family,
-    ParamAxis, Registry, SweepOptions,
+    run_batch, run_scenario, run_sweep, AxisParam, BatchOptions, BatchReport, Family, ParamAxis,
+    Registry, SweepOptions,
 };
 
 /// The fault registry is process-global, so chaos tests must not overlap.
@@ -144,7 +144,7 @@ fn forced_fuel_exhaustion_surfaces_as_a_governed_unknown() {
     let registry = smoke_registry();
     let scenario = registry.get("smoke-stable-spiral").unwrap();
     let budget = || Budget::unlimited().with_fuel(1_000_000);
-    let clean = run_scenario_governed(scenario, None, &budget());
+    let clean = run_scenario(scenario, None, &budget());
     assert_eq!(clean.verdict, "certified");
     assert_eq!(clean.exhaustion, None);
 
@@ -155,7 +155,7 @@ fn forced_fuel_exhaustion_surfaces_as_a_governed_unknown() {
         nncps_fault::SITE_SOLVER_BOX_POP,
         FaultSpec::new(FaultKind::FuelExhaustion, Trigger::Always),
     );
-    let starved = run_scenario_governed(scenario, None, &budget());
+    let starved = run_scenario(scenario, None, &budget());
     disarm_all();
     assert_eq!(starved.verdict, "inconclusive");
     assert_eq!(starved.exhaustion, Some(ExhaustionReason::Fuel(1_000_000)));
@@ -166,7 +166,7 @@ fn forced_fuel_exhaustion_surfaces_as_a_governed_unknown() {
     );
 
     // Chaos over: the same budget certifies again.
-    let recovered = run_scenario_governed(scenario, None, &budget());
+    let recovered = run_scenario(scenario, None, &budget());
     assert_eq!(recovered.fingerprint(), clean.fingerprint());
 }
 

@@ -124,25 +124,6 @@ impl Simulator {
             .collect()
     }
 
-    /// Simulates several initial states on up to `threads` worker threads
-    /// (`0` = one per available core), returning one trace per state in
-    /// input order.
-    ///
-    /// Traces from distinct initial states are independent, so the result is
-    /// identical to [`Simulator::simulate_batch`] for every thread count;
-    /// without the `parallel` feature this runs sequentially.
-    pub fn simulate_batch_threaded<D>(
-        &self,
-        dynamics: &D,
-        initial_states: &[Vec<f64>],
-        threads: usize,
-    ) -> Vec<Trace>
-    where
-        D: Dynamics + Sync + ?Sized,
-    {
-        crate::parallel_map(initial_states, threads, |x0| self.simulate(dynamics, x0))
-    }
-
     /// Batch version of [`Simulator::simulate_until`]: simulates every
     /// initial state with the same early-stopping predicate on up to
     /// `threads` worker threads (`0` = one per available core), preserving
@@ -258,7 +239,7 @@ mod tests {
         let starts: Vec<Vec<f64>> = (0..17).map(|i| vec![i as f64 * 0.3 - 2.0]).collect();
         let sequential = sim.simulate_batch(&decay(), &starts);
         for threads in [0, 1, 4] {
-            let threaded = sim.simulate_batch_threaded(&decay(), &starts, threads);
+            let threaded = sim.simulate_until_batch(&decay(), &starts, |_, _| false, threads);
             assert_eq!(threaded, sequential);
         }
     }
@@ -273,6 +254,17 @@ mod tests {
             assert_eq!(trace.iter().next().unwrap().1[0], start[0]);
             assert!(trace.final_state()[0] < 0.5);
             assert!(trace.len() < sim.num_steps() + 1);
+        }
+        // The batch is the sequential loop at every thread count.
+        let starts: Vec<Vec<f64>> = (0..17).map(|i| vec![i as f64 * 0.3 - 2.0]).collect();
+        let stop = |_: f64, s: &[f64]| s[0].abs() < 0.5;
+        let sequential: Vec<Trace> = starts
+            .iter()
+            .map(|x0| sim.simulate_until(&decay(), x0, stop))
+            .collect();
+        for threads in [0, 1, 4] {
+            let batch = sim.simulate_until_batch(&decay(), &starts, stop, threads);
+            assert_eq!(batch, sequential, "threads = {threads}");
         }
     }
 

@@ -16,6 +16,7 @@
 //! cargo run --release --example pendulum
 //! ```
 
+use nncps_barrier::Budget;
 use nncps_scenarios::{run_scenario, Registry};
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         println!("scenario : {name}");
         println!("           {}", scenario.description());
 
-        let result = run_scenario(scenario);
+        let result = run_scenario(scenario, None, &Budget::unlimited());
         match result.verdict.as_str() {
             "certified" => {
                 println!("PENDULUM IS SAFE");

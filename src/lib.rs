@@ -52,7 +52,7 @@ pub use nncps_sim as sim;
 pub use nncps_barrier::{
     BarrierCertificate, Budget, ClosedLoopSystem, ConfigError, DiskStore, ExhaustionReason,
     SafetySpec, VerificationConfig, VerificationConfigBuilder, VerificationOutcome,
-    VerificationRequest, VerificationSession, Verifier, WarmStart,
+    VerificationRequest, VerificationSession, WarmStart,
 };
 pub use nncps_scenarios::{
     run_batch, run_scenario, run_sweep, BatchOptions, BatchReport, Family, Registry, Scenario,

@@ -10,9 +10,10 @@
 //! must come out byte-identical with the cache on or off, sequential or
 //! threaded.
 
+use nncps::barrier::Budget;
 use nncps::scenarios::{
-    builtin_families, run_scenario, run_scenario_cached, run_sweep, AxisParam, Family, ParamAxis,
-    Registry, SweepCache, SweepOptions,
+    builtin_families, run_scenario, run_sweep, AxisParam, Family, ParamAxis, Registry, SweepCache,
+    SweepOptions,
 };
 
 /// A small but representative family mix: an NN plant with perturbation and
@@ -103,11 +104,11 @@ fn cached_single_scenario_run_matches_the_cold_run_bitwise() {
     let cache = SweepCache::new();
     for name in ["pendulum-tanh-16", "linear-unstable-canary"] {
         let scenario = registry.get(name).unwrap();
-        let cold = run_scenario(scenario);
-        let first = run_scenario_cached(scenario, Some(&cache));
+        let cold = run_scenario(scenario, None, &Budget::unlimited());
+        let first = run_scenario(scenario, Some(&cache), &Budget::unlimited());
         // The exact repeat short-circuits at the session's whole-outcome
         // memo — the strongest form of reuse, still bit-identical.
-        let second = run_scenario_cached(scenario, Some(&cache));
+        let second = run_scenario(scenario, Some(&cache), &Budget::unlimited());
         for warm in [&first, &second] {
             assert_eq!(cold.verdict, warm.verdict, "{name}");
             assert_eq!(cold.fingerprint(), warm.fingerprint(), "{name}");
@@ -137,14 +138,14 @@ fn cached_single_scenario_run_matches_the_cold_run_bitwise() {
             },
             nncps::scenarios::ExpectedVerdict::Any,
         );
-        run_scenario_cached(&varied, Some(&cache));
+        run_scenario(&varied, Some(&cache), &Budget::unlimited());
     }
     let session = cache.session().stats();
     assert!(
         session.outcome_hits >= 2,
         "exact repeats must hit the outcome memo: {session:?}"
     );
-    let stats = cache.warm_start().stats();
+    let stats = session.warm;
     assert!(
         stats.trace_hits > 0,
         "delta-varied runs must hit the trace memo"
